@@ -23,6 +23,7 @@ from .config import (
     Task,
     apply_sweep_value,
     load_scenario,
+    method_violations,
     parse_scenario,
 )
 from .counting import (
@@ -178,6 +179,11 @@ def _overrides(scenario: Scenario, method: str | None, threads: int | None):
                 [f"method: expected one of {sorted(names)}, got {method!r}"]
             )
         object.__setattr__(scenario, "method", names[method])
+        problems = method_violations(
+            scenario.method, scenario.model_kind, scenario.numerics
+        )
+        if problems:
+            raise ScenarioError(problems)
     if threads:
         object.__setattr__(scenario.numerics, "threads", threads)
     return scenario
@@ -485,6 +491,8 @@ def fig4(config, out, threads, method):
             "I_2_pt2", "sigma2_2_pt2", "snr_2_pt2",
             "I_2_numeric", "sigma2_2_numeric", "snr_2_numeric",
             "error",
+            "stencil_error_pt2", "flagged_pt2",
+            "stencil_error_numeric", "flagged_numeric",
         ]
         payloads = []
         keys = []
@@ -503,7 +511,7 @@ def fig4(config, out, threads, method):
         rows = []
         had_errors = False
         for (x, rv), res in zip(keys, results):
-            rows.append([x, rv] + list(res[:6]) + [res[6]])
+            rows.append([x, rv] + list(res))
             had_errors = had_errors or bool(res[6])
         path = out or scenario.output or "fig4.csv"
         if os.path.isdir(path):
@@ -532,6 +540,7 @@ def _joint_rows(payload):
 
 
 def _fig4_point(payload):
+    """One fig4 row after (omega_delta, r): the values, error, then provenance."""
     params, steps = payload
     try:
         pt = cumulants(LambdaModel(params), 2, method=Method.ANALYTIC_ORACLE)
@@ -539,9 +548,12 @@ def _fig4_point(payload):
             LambdaPeriodicModel(params, steps=steps), 2,
             method=Method.PERIODIC_NUMERIC,
         )
-        return (pt.flux, pt.noise, pt.snr, num.flux, num.noise, num.snr, "")
     except Exception as exc:
-        return (math.nan,) * 6 + (f"{type(exc).__name__}: {exc}",)
+        return (math.nan,) * 6 + (f"{type(exc).__name__}: {exc}",) + (math.nan,) * 4
+    return (
+        pt.flux, pt.noise, pt.snr, num.flux, num.noise, num.snr, "",
+        pt.stencil_error, int(pt.flagged), num.stencil_error, int(num.flagged),
+    )
 
 
 @main.command()

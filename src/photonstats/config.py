@@ -28,6 +28,7 @@ __all__ = [
     "ScenarioError",
     "parse_scenario",
     "load_scenario",
+    "method_violations",
 ]
 
 
@@ -365,6 +366,21 @@ _TOP_KEYS = {
 }
 
 
+def method_violations(
+    method: Method, kind: str | None, numerics: Numerics
+) -> list[str]:
+    """Combinations of method, model kind and numerics that cannot be honoured."""
+    out = []
+    if method is Method.PERIODIC_NUMERIC and kind == "jc":
+        out.append("method: PeriodicNumeric applies to the lambda model only")
+    if method is Method.PERIODIC_NUMERIC and numerics.h is not None:
+        out.append(
+            "numerics.h: PeriodicNumeric differentiates exactly and takes no "
+            "stencil step; leave h null"
+        )
+    return out
+
+
 def parse_scenario(text: str) -> Scenario:
     """Validate a YAML scenario document, reporting every violation at once."""
     out: list[str] = []
@@ -427,8 +443,7 @@ def parse_scenario(text: str) -> Scenario:
         out.append("sweep: a Scan task requires a sweep specification")
     if task is Task.CLOSED and (model and model[0] != "jc"):
         out.append("task: ClosedSystem statistics are defined for the jc model")
-    if method is Method.PERIODIC_NUMERIC and model and model[0] == "jc":
-        out.append("method: PeriodicNumeric applies to the lambda model only")
+    out += method_violations(method, model[0] if model else None, numerics)
     if out or model is None:
         raise ScenarioError(out or ["model: section is required"])
     return Scenario(

@@ -2,7 +2,9 @@
 
 A model exposes ``dressed_liouvillian(chi, xi)``; this module turns that into
 moment-generating functions, the slow eigenvalue lambda_0(xi, chi), and flux /
-noise reports by numerical differentiation at zero counting fields.
+noise reports by differentiation at zero counting fields.  Time-periodic
+models also expose ``time_harmonics(chi, xi)``, from which the PeriodicNumeric
+route differentiates the slow Floquet multiplier exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ from .charpoly import (
     truncated_root,
 )
 from .numdiff import central_derivative
-from .superop import propagate, spectral_decompose
+from .superop import (
+    StepConvergenceError,
+    propagate,
+    spectral_decompose,
+    step_change,
+    variational_monodromy,
+)
 
 __all__ = [
     "Method",
@@ -45,6 +53,7 @@ __all__ = [
     "cumulants_spectral",
     "cumulants_charpoly",
     "cumulants_oracle",
+    "cumulants_periodic",
     "conservation_check",
     "semiclassical_flux",
     "validity_window",
@@ -504,10 +513,107 @@ def cumulants_perturbation(
     return _report_from_lambda0(f, selector, Method.PERTURBATION, h)
 
 
+def _field_derivatives(sample: Callable[[float], np.ndarray]):
+    """Value, first and second derivative at x = 0 of an array-valued function.
+
+    Every entry of a counting-field-dressed generator (and of each of its
+    time harmonics) is a trigonometric polynomial of degree 1 in a single
+    field, so four equispaced samples over one period determine it exactly;
+    the aliased degree-2 coefficient must vanish.
+    """
+    n = 4
+    samples = np.array([sample(2.0 * math.pi * j / n) for j in range(n)], dtype=complex)
+    coeff = np.fft.fft(samples, axis=0) / n  # bins m = 0, 1, +-2, -1
+    scale = max(float(np.abs(samples).max()), 1e-300)
+    if float(np.abs(coeff[2]).max()) > 1e-12 * scale:
+        raise ValueError("generator is not of trigonometric degree 1 in the field")
+    plus, minus = coeff[1], coeff[3]
+    return samples[0], 1j * (plus - minus), -(plus + minus)
+
+
+def _slow_exponent_rates(u, du, d2u, period: float) -> tuple[float, float]:
+    """Flux and noise from the Floquet multiplier of ``u`` nearest 1.
+
+    With biorthonormal eigenvectors l_k, r_k of U and V = U', W = U'':
+    mu' = l V r and mu'' = l W r + 2 sum_{k != 0} (l V r_k)(l_k V r)/(mu - mu_k);
+    the slow exponent lambda = log(mu) / period then has
+    lambda' = mu' / (mu T) and lambda'' = (mu''/mu - (mu'/mu)^2) / T.
+    """
+    dec = spectral_decompose(u)
+    k = int(np.argmin(np.abs(dec.eigenvalues - 1.0)))
+    mu = dec.eigenvalues[k]
+    v = dec.left @ du @ dec.right
+    others = np.arange(dec.dim) != k
+    mu1 = v[k, k]
+    mu2 = dec.left[k] @ d2u @ dec.right[:, k] + 2.0 * np.sum(
+        v[k, others] * v[others, k] / (mu - dec.eigenvalues[others])
+    )
+    lam1 = mu1 / (mu * period)
+    lam2 = (mu2 / mu - (mu1 / mu) ** 2) / period
+    return float((1j * lam1).real), float((-lam2).real)
+
+
+def _rel_change(coarse: float, fine: float) -> float:
+    return abs(fine - coarse) / max(abs(fine), 1e-300)
+
+
+def cumulants_periodic(
+    model, selector: Selector, order: int = 2, h: float | None = None
+) -> CumulantReport:
+    """Flux and noise of a time-periodic model from its slow Floquet multiplier.
+
+    The one-period propagator and its exact first two field derivatives come
+    from one RK4 pass over the variational system; the field derivatives of
+    the model's time harmonics are exact (4-point Fourier sampling).  The
+    pass is repeated with ``2 * model.steps`` steps: the finer estimate is
+    returned, its relative change in (flux, noise) is the reported
+    ``stencil_error``, and a propagator change beyond ``model.check_tol``
+    raises :class:`~photonstats.superop.StepConvergenceError`.
+    """
+    _check_order(order)
+    if h is not None:
+        raise ValueError(
+            "PeriodicNumeric differentiates the Floquet multiplier exactly "
+            "and takes no stencil step h"
+        )
+    if not hasattr(model, "time_harmonics"):
+        raise NotImplementedError(
+            f"{type(model).__name__} is not a time-periodic model"
+        )
+    zero = _fields_for(model, selector, 0.0)
+    orders = model.time_harmonics(zero.chi, zero.xi)[0]
+
+    def harmonics(x: float) -> np.ndarray:
+        fields = _fields_for(model, selector, x)
+        return model.time_harmonics(fields.chi, fields.xi)[1]
+
+    derivs = np.stack(_field_derivatives(harmonics))
+    passes = []
+    for steps in (model.steps, 2 * model.steps):
+        u, du, d2u = variational_monodromy(orders, derivs, model.period, steps)
+        passes.append((u, _slow_exponent_rates(u, du, d2u, model.period)))
+    (u_coarse, coarse), (u_fine, (flux, noise)) = passes
+    if model.check_tol is not None:
+        rel = step_change(u_coarse, u_fine)
+        if rel > model.check_tol:
+            raise StepConvergenceError(u_coarse, u_fine, rel, model.check_tol)
+    err = max(_rel_change(coarse[0], flux), _rel_change(coarse[1], noise))
+    return CumulantReport(
+        mode=selector,
+        flux=flux,
+        noise=noise,
+        method=Method.PERIODIC_NUMERIC,
+        h=0.0,
+        stencil_error=err,
+        flagged=err > _STENCIL_FLAG_RTOL,
+    )
+
+
 _DISPATCH = {
     Method.SPECTRAL_FD: cumulants_spectral,
     Method.CHARPOLY: cumulants_charpoly,
-    Method.PERIODIC_NUMERIC: cumulants_spectral,
+    Method.PERTURBATION: cumulants_perturbation,
+    Method.PERIODIC_NUMERIC: cumulants_periodic,
 }
 
 
@@ -521,21 +627,7 @@ def cumulants(
     """Dispatch a cumulant computation to the requested method."""
     if method is Method.ANALYTIC_ORACLE:
         return cumulants_oracle(model, selector, order)
-    if method is Method.PERTURBATION:
-        return cumulants_perturbation(model, selector, order, h)
-    fn = _DISPATCH[method]
-    report = fn(model, selector, order, h)
-    if method is Method.PERIODIC_NUMERIC:
-        report = CumulantReport(
-            mode=report.mode,
-            flux=report.flux,
-            noise=report.noise,
-            method=Method.PERIODIC_NUMERIC,
-            h=report.h,
-            stencil_error=report.stencil_error,
-            flagged=report.flagged,
-        )
-    return report
+    return _DISPATCH[method](model, selector, order, h)
 
 
 def conservation_check(

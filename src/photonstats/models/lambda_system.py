@@ -257,11 +257,15 @@ class LambdaModel:
 
 
 class LambdaPeriodicModel:
-    """Stroboscopic generator from the rotating-frame periodic Liouvillian.
+    """Rotating-frame periodic Liouvillian, described by its time harmonics.
 
-    The one-period propagator is integrated by fixed-step RK4 from
-    precomputed harmonic components of L(t), then converted to a generator
-    through the principal matrix logarithm.
+    ``steps`` is the number of fixed RK4 steps per drive period.  The
+    one-period propagator U is checked by step doubling: a change beyond
+    ``check_tol`` raises :class:`~photonstats.superop.StepConvergenceError`
+    (``None`` switches the check off; PeriodicNumeric cumulants still report
+    their own change as ``stencil_error``).  ``dressed_liouvillian`` returns
+    the stroboscopic generator log(U)/T; the PeriodicNumeric cumulant route
+    instead differentiates the slow Floquet multiplier of U exactly.
     """
 
     n_modes = 2
@@ -271,7 +275,7 @@ class LambdaPeriodicModel:
     matrix_dim = 3
 
     def __init__(self, params: LambdaParams, steps: int = 2048,
-                 check_tol: float | None = None):
+                 check_tol: float | None = 1e-6):
         self.params = params
         self.steps = steps
         self.check_tol = check_tol
@@ -280,59 +284,65 @@ class LambdaPeriodicModel:
     def period(self) -> float:
         return 2.0 * math.pi / self.params.omega_d
 
-    def _harmonics(self, chi: tuple[float, float], xi: float):
-        """L(t) = l_const + cos(w t) l_cos + e^{-i r w t} l_m + e^{+i r w t} l_p."""
+    def time_harmonics(self, chi, xi) -> tuple[np.ndarray, np.ndarray]:
+        """Time harmonics of the dressed generator.
+
+        Returns integer ``orders`` and a matching stack of 9x9 matrices such
+        that L(t) = sum_n exp(i orders[n] omega_d t) matrices[n].  The
+        harmonics are the static part, the pump modulation at +-omega_d and
+        the co-/counter-rotating halves of mode 2 at -/+ r omega_d.
+        """
+        chi = tuple(float(c) for c in chi)
+        xi = tuple(float(x) for x in xi)
+        if len(chi) != 2 or len(xi) != 1:
+            raise ValueError("model counts two drive modes and one bath")
         p = self.params
         h_levels = np.diag(
             np.array([p.eps_a, p.eps_b_delta, p.eps_c_delta], dtype=complex)
         )
         pump = np.zeros((3, 3), dtype=complex)
         pump[_B, _C] = pump[_C, _B] = 1.0
-        sig1 = np.zeros((3, 3), dtype=complex)
-        sig1[_C, _A] = p.omega_s * np.exp(1j * (p.phi1 + chi[0]))
-        sig1[_A, _C] = np.conj(sig1[_C, _A])
+        lower = np.zeros((3, 3), dtype=complex)
+        lower[_C, _A] = 1.0
+        raise_ = lower.T
+
+        def mode1(phase: float) -> np.ndarray:
+            amp = p.omega_s * np.exp(1j * phase)
+            return amp * lower + np.conj(amp) * raise_
+
+        h_static = h_levels + p.omega_p0 * pump
+        l_const = hamiltonian_superop(
+            h_static + mode1(p.phi1 + chi[0]), h_static + mode1(p.phi1)
+        ) + _dissipators(p, xi[0])
+        half_cos = hamiltonian_superop(
+            0.25 * p.omega_p1 * pump, 0.25 * p.omega_p1 * pump
+        )
         # mode-2 coupling splits into co-/counter-rotating halves
         amp2 = p.omega_s * np.exp(1j * (p.phi2 + chi[1]))
         amp2_0 = p.omega_s * np.exp(1j * p.phi2)
-        lower = np.zeros((3, 3), dtype=complex)
-        lower[_C, _A] = 1.0
-        raise_ = lower.T.copy()
-
-        h0_left = h_levels + p.omega_p0 * pump + sig1
-        h0_right = h_levels + p.omega_p0 * pump + np.zeros((3, 3))
-        sig1_0 = np.zeros((3, 3), dtype=complex)
-        sig1_0[_C, _A] = p.omega_s * np.exp(1j * p.phi1)
-        sig1_0[_A, _C] = np.conj(sig1_0[_C, _A])
-        h0_right = h0_right + sig1_0
-
-        l_const = hamiltonian_superop(h0_left, h0_right) + _dissipators(p, xi)
-        l_cos = hamiltonian_superop(
-            0.5 * p.omega_p1 * pump, 0.5 * p.omega_p1 * pump
+        terms = (
+            (0, l_const),
+            (1, half_cos),
+            (-1, half_cos),
+            (-p.r, hamiltonian_superop(amp2 * lower, amp2_0 * lower)),
+            (
+                p.r,
+                hamiltonian_superop(np.conj(amp2) * raise_, np.conj(amp2_0) * raise_),
+            ),
         )
-        # e^{-i r w t}: |c><a| part of mode 2 on both sides
-        l_m = hamiltonian_superop(amp2 * lower, amp2_0 * lower)
-        # e^{+i r w t}: |a><c| part
-        l_p = hamiltonian_superop(
-            np.conj(amp2) * raise_, np.conj(amp2_0) * raise_
-        )
-        return l_const, l_cos, l_m, l_p
+        orders = np.unique([n for n, _ in terms])
+        mats = np.zeros((orders.size, 9, 9), dtype=complex)
+        for n, m in terms:
+            mats[np.searchsorted(orders, n)] += m
+        return orders, mats
 
     def liouvillian_of_t(self, chi, xi):
         """Periodic callback t -> L(t) for the monodromy integrator."""
-        chi = tuple(float(c) for c in chi)
-        xi = tuple(float(x) for x in xi)
-        l_const, l_cos, l_m, l_p = self._harmonics((chi[0], chi[1]), xi[0])
-        w = self.params.omega_d
-        r = self.params.r
+        orders, mats = self.time_harmonics(chi, xi)
+        freqs = self.params.omega_d * orders
 
         def l_of_t(t: float) -> np.ndarray:
-            phase = np.exp(-1j * r * w * t)
-            return (
-                l_const
-                + math.cos(w * t) * l_cos
-                + phase * l_m
-                + np.conj(phase) * l_p
-            )
+            return np.einsum("h,hij->ij", np.exp(1j * freqs * t), mats)
 
         return l_of_t
 

@@ -3,7 +3,8 @@
 Provides vectorization of (generalized) density matrices, Lindblad
 superoperator assembly, non-Hermitian spectral decomposition with
 biorthonormal left/right eigenvectors, propagation, and one-period
-(monodromy) propagators for time-periodic generators.
+(monodromy) propagators for time-periodic generators, with their exact
+counting-field derivatives from the variational equations.
 
 All matrices are small (D <= ~100) and dense; everything is double
 precision complex.
@@ -37,6 +38,8 @@ __all__ = [
     "stationary_state",
     "propagate",
     "one_period_propagator",
+    "step_change",
+    "variational_monodromy",
     "effective_liouvillian",
 ]
 
@@ -314,17 +317,62 @@ def propagate(
     return PropagationResult(vector=v, method="series", fallback=(method == "auto"))
 
 
-def _rk4_monodromy(l_of_t, period: float, steps: int) -> np.ndarray:
+_CHUNK_STEPS = 64
+
+
+def _rk4(nodes: np.ndarray, h: float, y0: np.ndarray) -> np.ndarray:
+    """Fixed-step RK4 for y' = A(t) y over precomputed generator nodes.
+
+    ``nodes[2n]``, ``nodes[2n + 1]`` and ``nodes[2n + 2]`` hold A at the
+    start, midpoint and end of step n, so m steps take 2m + 1 nodes.
+    """
+    y = y0
+    for n in range(0, nodes.shape[0] - 1, 2):
+        a, b, c = nodes[n], nodes[n + 1], nodes[n + 2]
+        k1 = a @ y
+        k2 = b @ (y + (0.5 * h) * k1)
+        k3 = b @ (y + (0.5 * h) * k2)
+        k4 = c @ (y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return y
+
+
+def _integrate(
+    nodes_at, period: float, steps: int, y0: np.ndarray | None = None
+) -> np.ndarray:
+    """RK4 over one period, building the 2 steps + 1 nodes in chunks.
+
+    ``nodes_at(times)`` returns the generator at an array of times, stacked
+    along the first axis; each time is requested exactly once.  The nodes of
+    ``_CHUNK_STEPS`` steps at a time share one buffer, which bounds memory
+    and keeps it in cache.  The initial state defaults to the identity.
+    """
     h = period / steps
-    u = np.eye(np.asarray(l_of_t(0.0)).shape[0], dtype=complex)
-    for n in range(steps):
-        t = n * h
-        k1 = l_of_t(t) @ u
-        k2 = l_of_t(t + 0.5 * h) @ (u + 0.5 * h * k1)
-        k3 = l_of_t(t + 0.5 * h) @ (u + 0.5 * h * k2)
-        k4 = l_of_t(t + h) @ (u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return u
+    first = nodes_at(np.zeros(1))
+    y = np.eye(first.shape[-1], dtype=complex) if y0 is None else y0
+    size = 2 * min(steps, _CHUNK_STEPS) + 1
+    nodes = np.empty((size,) + first.shape[1:], dtype=complex)
+    nodes[0] = first[0]
+    for start in range(0, steps, _CHUNK_STEPS):
+        m = min(steps - start, _CHUNK_STEPS)
+        times = 0.5 * h * np.arange(2 * start + 1, 2 * (start + m) + 1)
+        nodes[1:2 * m + 1] = nodes_at(times)
+        y = _rk4(nodes[:2 * m + 1], h, y)
+        nodes[0] = nodes[2 * m]
+    return y
+
+
+def _check_steps(period: float, steps: int) -> None:
+    if steps < 64:
+        raise ValueError("steps must be at least 64")
+    if period <= 0:
+        raise ValueError("period must be positive")
+
+
+def step_change(coarse: np.ndarray, fine: np.ndarray) -> float:
+    """Largest entry change of step-doubled propagators, over max(|fine|, 1)."""
+    denom = max(float(np.abs(fine).max()), 1.0)
+    return float(np.abs(fine - coarse).max() / denom)
 
 
 def one_period_propagator(
@@ -335,23 +383,58 @@ def one_period_propagator(
 ) -> np.ndarray:
     """Monodromy matrix U(period) of dU/dt = L(t) U by fixed-step RK4.
 
-    When ``check_tol`` is set, the integration is repeated with doubled step
+    ``l_of_t`` is called once per node: 2 steps + 1 times per pass.  When
+    ``check_tol`` is set, the integration is repeated with doubled step
     count; the finer estimate is returned and a :class:`StepConvergenceError`
     carrying both estimates is raised if they disagree beyond tolerance.
     """
-    if steps < 64:
-        raise ValueError("steps must be at least 64")
-    if period <= 0:
-        raise ValueError("period must be positive")
-    coarse = _rk4_monodromy(l_of_t, period, steps)
+    _check_steps(period, steps)
+
+    def nodes_at(times):
+        return np.array([l_of_t(t) for t in times], dtype=complex)
+
+    coarse = _integrate(nodes_at, period, steps)
     if check_tol is None:
         return coarse
-    fine = _rk4_monodromy(l_of_t, period, 2 * steps)
-    denom = max(np.abs(fine).max(), 1.0)
-    rel = float(np.abs(fine - coarse).max() / denom)
+    fine = _integrate(nodes_at, period, 2 * steps)
+    rel = step_change(coarse, fine)
     if rel > check_tol:
         raise StepConvergenceError(coarse, fine, rel, check_tol)
     return fine
+
+
+def variational_monodromy(
+    orders: np.ndarray, harmonics: np.ndarray, period: float, steps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-period propagator and its first two counting-field derivatives.
+
+    The generator is L(t, x) = sum_n exp(2 pi i orders[n] t / period) L_n(x),
+    and ``harmonics[k, n]`` is the k-th x-derivative of L_n at x = 0
+    (k = 0, 1, 2).  Returns U, V = dU/dx and W = d^2U/dx^2 at t = period,
+    from one 3d x 3d RK4 of the block lower-triangular variational system
+    dU/dt = L U, dV/dt = L V + L' U, dW/dt = L W + 2 L' V + L'' U.
+    """
+    _check_steps(period, steps)
+    l, dl, d2l = np.asarray(harmonics, dtype=complex)
+    n_harm, d = l.shape[0], l.shape[-1]
+    # the variational generator is linear in L, so it has the same harmonics
+    block = np.zeros((n_harm, 3 * d, 3 * d), dtype=complex)
+    for i in range(3):
+        block[:, i * d:(i + 1) * d, i * d:(i + 1) * d] = l
+    block[:, d:2 * d, :d] = dl
+    block[:, 2 * d:, d:2 * d] = 2.0 * dl
+    block[:, 2 * d:, :d] = d2l
+    block = block.reshape(n_harm, -1)
+    freqs = 2.0 * math.pi / period * np.asarray(orders, dtype=float)
+
+    def nodes_at(times):
+        phases = np.exp(1j * np.outer(times, freqs))
+        return (phases @ block).reshape(times.size, 3 * d, 3 * d)
+
+    y0 = np.zeros((3 * d, d), dtype=complex)
+    y0[:d] = np.eye(d)
+    y = _integrate(nodes_at, period, steps, y0)
+    return y[:d], y[d:2 * d], y[2 * d:]
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,204 @@
+"""PeriodicNumeric: cumulants from the variational one-period propagator."""
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from photonstats.cli import main
+from photonstats.config import ScenarioError, parse_scenario
+from photonstats.counting import Method, cumulants
+from photonstats.models.lambda_system import (
+    LambdaModel,
+    LambdaParams,
+    LambdaPeriodicModel,
+)
+from photonstats.superop import (
+    StepConvergenceError,
+    one_period_propagator,
+    variational_monodromy,
+)
+
+
+def periodic(p, steps=1024, **kw):
+    return cumulants(
+        LambdaPeriodicModel(p, steps=steps, **kw), 2, method=Method.PERIODIC_NUMERIC
+    )
+
+
+def test_constant_generator_matches_rwa_charpoly():
+    # without pump modulation and at r = 0 every harmonic but the static one vanishes
+    p = LambdaParams(r=0, omega_p1=0.0, phi2=0.4).with_detuning(0.7)
+    model = LambdaPeriodicModel(p, steps=512)
+    orders, mats = model.time_harmonics((0.3, -0.2), (0.1,))
+    static = LambdaModel(p).dressed_liouvillian((0.3, -0.2), (0.1,))
+    nonzero = [n for n, m in zip(orders, mats) if np.abs(m).max() > 0.0]
+    assert nonzero == [0]
+    assert np.allclose(mats[list(orders).index(0)], static, atol=1e-14)
+    for mode in (1, 2, "drive", "bath"):
+        num = cumulants(model, mode, method=Method.PERIODIC_NUMERIC)
+        ref = cumulants(LambdaModel(p), mode, method=Method.CHARPOLY)
+        assert num.flux == pytest.approx(ref.flux, rel=1e-8)
+        assert num.noise == pytest.approx(ref.noise, rel=1e-8)
+        assert not num.flagged
+
+
+@pytest.mark.parametrize(
+    "omega_delta, flux, noise",
+    [(2.0, -8.6917224e-6, 1.1716098e-6), (-2.0, -8.6899130e-6, 1.1660752e-6)],
+)
+def test_fig4_working_points(omega_delta, flux, noise):
+    # reference values: slow Floquet exponent log(mu)/T, differentiated by
+    # trigonometric interpolation over eight counting fields (2048 steps)
+    p = LambdaParams(r=2).with_detuning(omega_delta)
+    rep = periodic(p)
+    assert rep.method is Method.PERIODIC_NUMERIC
+    assert rep.flux == pytest.approx(flux, rel=1e-6)
+    assert rep.noise == pytest.approx(noise, rel=1e-5)
+    assert rep.stencil_error < 1e-6 and not rep.flagged
+
+
+@pytest.mark.parametrize("omega_delta", [-2.5, -0.5, 0.5, 2.0])
+def test_noise_approaches_rwa_at_deep_drive_separation(omega_delta):
+    p = LambdaParams(omega_d=400.0, omega_p1=800.0).with_detuning(omega_delta)
+    num = periodic(p)
+    rwa = cumulants(LambdaModel(p), 2, method=Method.CHARPOLY)
+    assert num.noise == pytest.approx(rwa.noise, rel=1e-2)
+    assert num.flux == pytest.approx(rwa.flux, rel=1e-2)
+
+
+def test_coarse_grid_is_caught():
+    p = LambdaParams(omega_p1=400.0).with_detuning(2.0)
+    try:
+        rep = periodic(p, steps=64)
+    except StepConvergenceError as exc:
+        assert exc.rel_change > 1e-6
+    else:
+        assert rep.flagged
+
+
+def test_step_doubling_error_is_reported_without_propagator_check():
+    p = LambdaParams(omega_p1=400.0).with_detuning(2.0)
+    rep = periodic(p, steps=64, check_tol=None)
+    assert rep.stencil_error > 1e-6 and rep.flagged
+
+
+def test_stencil_step_is_refused():
+    with pytest.raises(ValueError, match="stencil step"):
+        cumulants(
+            LambdaPeriodicModel(LambdaParams()), 2,
+            method=Method.PERIODIC_NUMERIC, h=1e-3,
+        )
+
+
+def test_static_model_has_no_periodic_route():
+    with pytest.raises(NotImplementedError):
+        cumulants(LambdaModel(LambdaParams()), 2, method=Method.PERIODIC_NUMERIC)
+
+
+def test_harmonics_beyond_degree_one_in_the_field_are_refused():
+    class DoubleCharge(LambdaPeriodicModel):
+        def time_harmonics(self, chi, xi):
+            orders, mats = super().time_harmonics(chi, xi)
+            return orders, mats * np.exp(2j * chi[1])
+
+    with pytest.raises(ValueError, match="degree 1"):
+        cumulants(DoubleCharge(LambdaParams()), 2, method=Method.PERIODIC_NUMERIC)
+
+
+def test_scenario_rejects_stencil_step_for_periodic_numeric():
+    doc = "model:\n  kind: lambda\nmethod: PeriodicNumeric\nnumerics:\n  h: 0.001\n"
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(doc)
+    assert any(v.startswith("numerics.h") for v in exc.value.violations)
+    parse_scenario("model:\n  kind: lambda\nmethod: PeriodicNumeric\n")
+
+
+def test_cli_method_override_rejects_stencil_step(tmp_path):
+    cfg = tmp_path / "s.yaml"
+    cfg.write_text("model:\n  kind: lambda\nnumerics:\n  h: 0.001\n")
+    result = CliRunner().invoke(
+        main, ["cumulants", "--config", str(cfg), "--method", "PeriodicNumeric"]
+    )
+    assert result.exit_code == 2
+    assert "numerics.h" in result.output
+
+
+def test_time_harmonics_reproduce_callback():
+    p = LambdaParams(r=3, phi1=0.3, phi2=0.7).with_detuning(1.3)
+    model = LambdaPeriodicModel(p)
+    orders, mats = model.time_harmonics((0.4, -0.2), (0.1,))
+    assert list(orders) == [-3, -1, 0, 1, 3]
+    l_of_t = model.liouvillian_of_t((0.4, -0.2), (0.1,))
+    for t in (0.0, 0.01, 0.07):
+        direct = sum(np.exp(1j * n * p.omega_d * t) * m for n, m in zip(orders, mats))
+        assert np.allclose(l_of_t(t), direct, atol=1e-13)
+
+
+def test_variational_propagator_matches_finite_differences():
+    p = LambdaParams(r=1).with_detuning(0.5)
+    model = LambdaPeriodicModel(p)
+
+    def harmonics(x):
+        return model.time_harmonics((0.0, x), (0.0,))[1]
+
+    orders = model.time_harmonics((0.0, 0.0), (0.0,))[0]
+    d = 1e-3
+    h0, hp, hm = harmonics(0.0), harmonics(d), harmonics(-d)
+    derivs = np.stack([h0, (hp - hm) / (2 * d), (hp - 2 * h0 + hm) / d**2])
+    u, du, d2u = variational_monodromy(orders, derivs, model.period, 256)
+    assert np.allclose(
+        u, one_period_propagator(model.liouvillian_of_t((0.0, 0.0), (0.0,)),
+                                 model.period, 256, check_tol=None),
+        atol=1e-13,
+    )
+    up = one_period_propagator(model.liouvillian_of_t((0.0, d), (0.0,)),
+                               model.period, 256, check_tol=None)
+    um = one_period_propagator(model.liouvillian_of_t((0.0, -d), (0.0,)),
+                               model.period, 256, check_tol=None)
+    assert np.allclose(du, (up - um) / (2 * d), atol=1e-7)
+    assert np.allclose(d2u, (up - 2 * u + um) / d**2, atol=1e-4)
+
+
+@pytest.mark.parametrize("check_tol, calls", [(None, 129), (1e-6, 129 + 257)])
+def test_one_period_propagator_calls_back_once_per_node(check_tol, calls):
+    seen = []
+
+    def l_of_t(t):
+        seen.append(t)
+        return np.array([[0.0, np.cos(t)], [-np.cos(t), 0.0]])
+
+    one_period_propagator(l_of_t, 1.0, steps=64, check_tol=check_tol)
+    assert len(seen) == calls
+
+
+def test_fig4_csv_carries_provenance_and_is_reproducible(tmp_path):
+    cfg = tmp_path / "fig4.yaml"
+    cfg.write_text(
+        "model:\n  kind: lambda\nmode: 2\n"
+        "sweep:\n  variable: omega_delta\n  start: -2.0\n  stop: 2.0\n"
+        "  points: 2\n  repeat_param: r\n  repeat_values: [2]\n"
+        "numerics:\n  steps: 256\n"
+    )
+    outputs = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        result = CliRunner().invoke(
+            main, ["fig4", "--config", str(cfg), "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    header, *rows = outputs[0].decode().splitlines()
+    assert header.split(",") == [
+        "omega_delta", "r",
+        "I_2_pt2", "sigma2_2_pt2", "snr_2_pt2",
+        "I_2_numeric", "sigma2_2_numeric", "snr_2_numeric",
+        "error",
+        "stencil_error_pt2", "flagged_pt2",
+        "stencil_error_numeric", "flagged_numeric",
+    ]
+    assert len(rows) == 2
+    for row in rows:
+        cells = row.split(",")
+        assert cells[8] == ""
+        assert float(cells[11]) < 1e-6 and cells[12] == "0"
