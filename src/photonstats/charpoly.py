@@ -14,8 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from .numdiff import StencilResult, central_derivative
-
 __all__ = [
     "CharPolyCoeffs",
     "CoefficientDerivatives",
@@ -23,8 +21,7 @@ __all__ = [
     "char_poly",
     "truncated_root",
     "coefficient_derivatives",
-    "first_cumulant_rate",
-    "second_cumulant_rate",
+    "fourier_derivatives",
 ]
 
 _MAX_DIM = 64
@@ -120,14 +117,6 @@ def truncated_root(coeffs: CharPolyCoeffs, order: int) -> complex:
     raise ValueError("truncation order must be 1 or 2")
 
 
-def discriminant_diagnostic(coeffs: CharPolyCoeffs) -> float:
-    """|a1^2 - 4 a0 a2| relative to |a1|^2; near zero flags branch ambiguity."""
-    a = coeffs.coefficients
-    if abs(a[1]) == 0.0:
-        return 0.0
-    return float(abs(a[1] ** 2 - 4.0 * a[0] * a[2]) / abs(a[1]) ** 2)
-
-
 @dataclass(frozen=True)
 class CoefficientDerivatives:
     """Field-derivatives at zero of the two lowest coefficients.
@@ -145,9 +134,33 @@ class CoefficientDerivatives:
     n_samples: int
 
 
+def fourier_derivatives(
+    samples,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fourier coefficients of a 2 pi-periodic function, then its value and
+    its first and second derivative at x = 0.
+
+    ``samples[j]`` (a number or an array) is the function at x = 2 pi j / n.
+    For a trigonometric polynomial of degree below n / 2 the interpolant is
+    the function itself, so the derivatives are exact up to roundoff; the
+    Nyquist bin, empty at such degrees, is left out of them.
+    """
+    samples = np.asarray(samples, dtype=complex)
+    n = samples.shape[0]
+    coeffs = np.fft.fft(samples, axis=0) / n
+    k = np.fft.fftfreq(n, 1.0 / n)
+    k[n // 2] = 0.0
+    k = k.reshape((n,) + (1,) * (samples.ndim - 1))
+    return (
+        coeffs,
+        coeffs.sum(axis=0),
+        (1j * k * coeffs).sum(axis=0),
+        (-(k**2) * coeffs).sum(axis=0),
+    )
+
+
 def coefficient_derivatives(
     matrix_fn: Callable[[float], np.ndarray],
-    n: int | None = None,
 ) -> CoefficientDerivatives:
     """Exact coefficient derivatives by trigonometric interpolation.
 
@@ -161,77 +174,18 @@ def coefficient_derivatives(
     """
     m0 = np.asarray(matrix_fn(0.0), dtype=complex)
     d = m0.shape[0]
-    if n is None:
-        n = 1 << (2 * d + 1).bit_length()
+    n = 1 << (2 * d + 1).bit_length()
     sign = -1.0 if d % 2 else 1.0
-    a0 = np.empty(n, dtype=complex)
-    a1 = np.empty(n, dtype=complex)
     at_zero = char_poly(m0)
+    samples = np.empty((n, 2), dtype=complex)  # columns a0, a1
     for j in range(n):
         m = m0 if j == 0 else np.asarray(matrix_fn(2.0 * np.pi * j / n), dtype=complex)
-        a0[j] = sign * np.linalg.det(m)
-        a1[j] = (at_zero if j == 0 else char_poly(m)).coefficients[1]
-    c0 = np.fft.fft(a0) / n
-    c1 = np.fft.fft(a1) / n
-    k = np.fft.fftfreq(n, 1.0 / n)
-    k[n // 2] = 0.0  # Nyquist bin carries no derivative information
-    da0 = complex(np.sum(1j * k * c0))
-    d2a0 = complex(np.sum(-(k**2) * c0))
-    da1 = complex(np.sum(1j * k * c1))
-    hi = np.abs(k) > d
-    rel = 0.0
-    for c in (c0, c1):
-        scale = float(np.abs(c).max())
-        if scale > 0.0 and np.any(hi):
-            rel = max(rel, float(np.abs(c[hi]).max()) / scale)
-    return CoefficientDerivatives(da0, d2a0, da1, at_zero, rel, n)
-
-
-def first_cumulant_rate(
-    coeff_fn: Callable[[float], CharPolyCoeffs],
-    h: float = 1e-3,
-) -> tuple[float, StencilResult]:
-    """Flux from the first-order truncated root.
-
-    ``coeff_fn(x)`` must return the coefficients with the selected counting
-    field set to x and all others zero.  The rate is
-    -Re[i (da0/dchi) / a1] at zero fields (the derivative with respect to
-    -i chi of the root -a0/a1, using a0(0)=0).
-    """
-    at_zero = coeff_fn(0.0)
-    a = at_zero.coefficients
-    if abs(a[1]) < _A1_THRESHOLD * max(1.0, float(np.max(np.abs(a)))):
-        raise DegenerateRootError(
-            "a1(0) vanishes: degenerate stationary root; "
-            "use the perturbation module instead"
-        )
-    da0 = central_derivative(lambda x: coeff_fn(x).coefficients[0], 1, h)
-    # I = Re[i dlambda/dchi] with dlambda/dchi = -a0'/a1 at a0(0)=0
-    value = float((-1j * da0.value / a[1]).real)
-    return value, da0
-
-
-def second_cumulant_rate(
-    coeff_fn: Callable[[float], CharPolyCoeffs],
-    h: float = 1e-3,
-) -> tuple[float, StencilResult]:
-    """Noise rate Re[-d^2 lambda/dchi^2] by implicit differentiation.
-
-    Differentiating sum_j a_j(chi) lambda^j = 0 twice at chi = 0, where
-    lambda(0) = 0, gives a0'' + 2 a1' lambda' + a1 lambda'' + 2 a2 lambda'^2
-    = 0 with lambda' = -a0'/a1.  Only the coefficients are stenciled; they
-    are entire in the counting field, so no step-versus-gap trade-off and no
-    truncation-order error arise.
-    """
-    at_zero = coeff_fn(0.0)
-    # raises DegenerateRootError at zero fields if a1 vanishes
-    truncated_root(at_zero, 2)
-    a1 = at_zero.coefficients[1]
-    a2 = at_zero.coefficients[2]
-    da0 = central_derivative(lambda x: coeff_fn(x).coefficients[0], 1, h)
-    da1 = central_derivative(lambda x: coeff_fn(x).coefficients[1], 1, h)
-    d2a0 = central_derivative(lambda x: coeff_fn(x).coefficients[0], 2, h)
-    dlam = -da0.value / a1
-    d2lam = -(d2a0.value + 2.0 * da1.value * dlam + 2.0 * a2 * dlam * dlam) / a1
-    worst = max((da0, da1, d2a0), key=lambda s: s.rel_error)
-    return float(-d2lam.real), worst
+        a1 = (at_zero if j == 0 else char_poly(m)).coefficients[1]
+        samples[j] = sign * np.linalg.det(m), a1
+    coeffs, _, d1, d2 = fourier_derivatives(samples)
+    hi = np.abs(np.fft.fftfreq(n, 1.0 / n)) > d
+    scale = np.maximum(np.abs(coeffs).max(axis=0), 1e-300)
+    rel = float((np.abs(coeffs[hi]).max(axis=0) / scale).max())
+    return CoefficientDerivatives(
+        complex(d1[0]), complex(d2[0]), complex(d1[1]), at_zero, rel, n
+    )

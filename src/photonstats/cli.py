@@ -12,6 +12,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from importlib import resources
 
 import click
@@ -35,7 +36,7 @@ from .counting import (
 )
 from .distributions import GaussianLaw, PoissonLaw, closed_mgf, reconstruct, reconstruct_from_mgf
 from .models.jc import JaynesCummingsModel, JcParams, jc_closed_statistics
-from .models.lambda_system import LambdaModel, LambdaParams, LambdaPeriodicModel
+from .models.lambda_system import LambdaModel, LambdaPeriodicModel
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -60,85 +61,93 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def build_model(kind: str, params, method: Method, steps: int = 2048):
-    if kind == "jc":
+def build_model(scenario: Scenario):
+    params = scenario.model_params
+    if scenario.model_kind == "jc":
         return JaynesCummingsModel(params)
-    if method is Method.PERIODIC_NUMERIC:
-        return LambdaPeriodicModel(params, steps=steps)
+    if scenario.method is Method.PERIODIC_NUMERIC:
+        return LambdaPeriodicModel(params, steps=scenario.numerics.steps)
     return LambdaModel(params)
 
 
-def _scan_point(payload):
+def _map_points(fn, payloads: list, threads: int) -> list:
+    """``fn`` over ``payloads`` in order, in worker processes when threads > 1."""
+    if threads > 1:
+        chunk = max(1, len(payloads) // (16 * threads))
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, payloads, chunksize=chunk))
+    return [fn(p) for p in payloads]
+
+
+_SCAN_COLUMNS = [
+    "I_1", "sigma2_1", "snr_1", "I_2", "sigma2_2", "snr_2",
+    "method", "stencil_error", "error",
+]
+
+
+def _scan_point(scenario: Scenario):
     """Worker: cumulant reports for both drive modes at one grid point."""
-    kind, params, method, h, steps = payload
-    model = build_model(kind, params, method, steps)
+    model, method = build_model(scenario), scenario.method
     try:
-        reports = [cumulants(model, k, method=method, h=h) for k in (1, 2)]
+        reports = [
+            cumulants(model, k, method=method, h=scenario.numerics.h) for k in (1, 2)
+        ]
     except Exception as exc:  # recorded per-point, scan continues
-        return (math.nan,) * 6 + (math.nan, f"{type(exc).__name__}: {exc}")
+        return (math.nan,) * 6 + (method.value, math.nan, f"{type(exc).__name__}: {exc}")
     values = []
     for rep in reports:
         values.extend([rep.flux, rep.noise, rep.snr])
     err = max(rep.stencil_error for rep in reports)
-    return tuple(values) + (err, "")
+    return tuple(values) + (method.value, err, "")
 
 
-def _run_sweep(scenario: Scenario, sweep, threads: int):
-    """Rows for one sweep spec; returns (header, rows, had_errors)."""
-    method = scenario.method
-    repeats = sweep.repeat_values or (None,)
-    payloads = []
-    keys = []
-    for rv in repeats:
+def _sweeps(scenario: Scenario):
+    if not scenario.sweeps:
+        raise ScenarioError(["sweep: this command requires a sweep specification"])
+    return scenario.sweeps
+
+
+def _run_sweep(scenario: Scenario, sweep, path: str, point, header: list[str],
+               key) -> bool:
+    """Write one sweep's CSV; True when some point failed.
+
+    Every grid value, repeated for each repeat value, is one row:
+    ``key(x, repeat_value, params)`` and then the values that ``point``
+    returns for the scenario with that row's model parameters.  A nonempty
+    ``error`` cell marks a failed point.
+    """
+    grid = []
+    for rv in sweep.repeat_values or (None,):
         base = scenario.model_params
         if rv is not None:
             base = apply_sweep_value(base, sweep.repeat_param, rv)
-        for x in sweep.grid():
-            params = apply_sweep_value(base, sweep.variable, x)
-            payloads.append(
-                (
-                    scenario.model_kind,
-                    params,
-                    method,
-                    scenario.numerics.h,
-                    scenario.numerics.steps,
-                )
-            )
-            keys.append((rv, x))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_scan_point, payloads, chunksize=8))
-    else:
-        results = [_scan_point(p) for p in payloads]
-    header = ["sweep_value"]
-    if sweep.repeat_param:
-        header.append(sweep.repeat_param)
-    header += [
-        "I_1",
-        "sigma2_1",
-        "snr_1",
-        "I_2",
-        "sigma2_2",
-        "snr_2",
-        "method",
-        "stencil_error",
-        "error",
-    ]
-    rows = []
-    had_errors = False
-    for (rv, x), res in zip(keys, results):
-        row = [x]
-        if sweep.repeat_param:
-            row.append(rv)
-        row += list(res[:6]) + [method.value, res[6], res[7]]
-        if res[7]:
-            had_errors = True
-        rows.append(row)
-    return header, rows, had_errors
+        grid += [(x, rv, apply_sweep_value(base, sweep.variable, x)) for x in sweep.grid()]
+    payloads = [replace(scenario, model_params=params) for _, _, params in grid]
+    results = _map_points(point, payloads, scenario.numerics.threads)
+    rows = [key(x, rv, params) + list(res) for (x, rv, params), res in zip(grid, results)]
+    _write_csv(path, header, rows)
+    click.echo(f"wrote {path} ({len(rows)} rows)")
+    col = header.index("error")
+    return any(row[col] for row in rows)
+
+
+def _sweep_command(name: str, default_resource: str | None, config, out, threads,
+                   method) -> None:
+    """scan, fig2, fig5: every sweep through :func:`_scan_point`."""
+    scenario = _overrides(_load(config, default_resource), method, threads)
+    failed = False
+    for sweep in _sweeps(scenario):
+        header = ["sweep_value"] + ([sweep.repeat_param] if sweep.repeat_param else [])
+        path = _sweep_output_path(scenario, sweep, out, name)
+        failed |= _run_sweep(
+            scenario, sweep, path, _scan_point, header + _SCAN_COLUMNS,
+            lambda x, rv, params: [x] if rv is None else [x, rv],
+        )
+    sys.exit(EXIT_PARTIAL if failed else EXIT_OK)
 
 
 def _sweep_output_path(scenario: Scenario, sweep, out_override: str | None,
-                       prefix: str = "scan") -> str:
+                       prefix: str) -> str:
     base = out_override or scenario.output or "."
     if base.endswith(".csv") and len(scenario.sweeps) <= 1:
         return base
@@ -189,6 +198,11 @@ def _overrides(scenario: Scenario, method: str | None, threads: int | None):
     return scenario
 
 
+def _require_kind(scenario: Scenario, kind: str, command: str) -> None:
+    if scenario.model_kind != kind:
+        raise ScenarioError([f"model.kind: {command} needs the {kind!r} model"])
+
+
 _SHARED = [
     click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None),
     click.option("--out", type=click.Path(), default=None),
@@ -223,10 +237,7 @@ def cumulants_cmd(config, out, threads, method):
     """Flux and noise of one counted channel."""
     def run():
         scenario = _overrides(_load(config), method, threads)
-        model = build_model(
-            scenario.model_kind, scenario.model_params, scenario.method,
-            scenario.numerics.steps,
-        )
+        model = build_model(scenario)
         rep = cumulants(
             model, scenario.mode, method=scenario.method, h=scenario.numerics.h
         )
@@ -249,21 +260,7 @@ def cumulants_cmd(config, out, threads, method):
 @shared_options
 def scan(config, out, threads, method):
     """Cumulant reports over a parameter sweep."""
-    def run():
-        scenario = _overrides(_load(config), method, threads)
-        if not scenario.sweeps:
-            raise ScenarioError(["sweep: a Scan task requires a sweep specification"])
-        nthreads = scenario.numerics.threads
-        had_errors = False
-        for sweep in scenario.sweeps:
-            header, rows, errs = _run_sweep(scenario, sweep, nthreads)
-            path = _sweep_output_path(scenario, sweep, out)
-            _write_csv(path, header, rows)
-            click.echo(f"wrote {path} ({len(rows)} rows)")
-            had_errors = had_errors or errs
-        sys.exit(EXIT_PARTIAL if had_errors else EXIT_OK)
-
-    _guard(run)
+    _guard(lambda: _sweep_command("scan", None, config, out, threads, method))
 
 
 @main.command()
@@ -272,10 +269,7 @@ def distribution(config, out, threads, method):
     """Photon-number distribution of the resolved drive modes."""
     def run():
         scenario = _overrides(_load(config), method, threads)
-        model = build_model(
-            scenario.model_kind, scenario.model_params, scenario.method,
-            scenario.numerics.steps,
-        )
+        model = build_model(scenario)
         spec = scenario.distribution
         if spec.law == "poisson":
             law = PoissonLaw(spec.alphas[: len(spec.modes)])
@@ -320,8 +314,7 @@ def closed(config, out, threads, method):
     """Closed-system (lossless) photon statistics from quasienergy branches."""
     def run():
         scenario = _overrides(_load(config), method, threads)
-        if scenario.model_kind != "jc":
-            raise ScenarioError(["model.kind: closed statistics require 'jc'"])
+        _require_kind(scenario, "jc", "closed")
         p: JcParams = scenario.model_params
         spec = scenario.closed
         mean, variance = jc_closed_statistics(p, spec.weights, spec.mode, spec.time)
@@ -363,10 +356,7 @@ def conserve(config, out, threads, method):
     """Drive-vs-bath photon-ledger consistency check."""
     def run():
         scenario = _overrides(_load(config), method, threads)
-        model = build_model(
-            scenario.model_kind, scenario.model_params, scenario.method,
-            scenario.numerics.steps,
-        )
+        model = build_model(scenario)
         rep = conservation_check(model, method=scenario.method, h=scenario.numerics.h)
         status = "PASS" if rep.passed else "FAIL"
         worst = max(abs(rep.flux_residual), abs(rep.noise_residual))
@@ -394,18 +384,7 @@ def conserve(config, out, threads, method):
 @shared_options
 def fig2(config, out, threads, method):
     """Probe-flux/noise sweeps (detuning, amplitude, gamma) x three phases."""
-    def run():
-        scenario = _overrides(_load(config, "fig2.yaml"), method, threads)
-        had_errors = False
-        for sweep in scenario.sweeps:
-            header, rows, errs = _run_sweep(scenario, sweep, scenario.numerics.threads)
-            path = _sweep_output_path(scenario, sweep, out, prefix="fig2")
-            _write_csv(path, header, rows)
-            click.echo(f"wrote {path} ({len(rows)} rows)")
-            had_errors = had_errors or errs
-        sys.exit(EXIT_PARTIAL if had_errors else EXIT_OK)
-
-    _guard(run)
+    _guard(lambda: _sweep_command("fig2", "fig2.yaml", config, out, threads, method))
 
 
 @main.command()
@@ -414,12 +393,12 @@ def fig3(config, out, threads, method):
     """Photon-number distributions of the probe mode and the joint pair."""
     def run():
         scenario = _overrides(_load(config, "fig3.yaml"), method, threads)
+        _require_kind(scenario, "jc", "fig3")
         out_dir = out or scenario.output or "."
         os.makedirs(out_dir, exist_ok=True)
         spec = scenario.distribution
         law1 = GaussianLaw((spec.nbar[0],), (spec.sigma2[0],))
         base: JcParams = scenario.model_params
-        had_errors = False
         # (b): single-mode marginal at phi = 0, strong dissipation
         p_b = apply_sweep_value(apply_sweep_value(base, "phi2", 0.0), "gamma", 0.1)
         model_b = JaynesCummingsModel(p_b)
@@ -452,11 +431,7 @@ def fig3(config, out, threads, method):
                 for chunk in row_chunks
                 if len(chunk)
             ]
-            if nthreads > 1:
-                with ProcessPoolExecutor(max_workers=nthreads) as pool:
-                    results = list(pool.map(_joint_rows, payloads))
-            else:
-                results = [_joint_rows(pl) for pl in payloads]
+            results = _map_points(_joint_rows, payloads, nthreads)
             samples = np.empty((len(grid), len(grid)), dtype=complex)
             for rows_idx, values in results:
                 samples[rows_idx, :] = values
@@ -474,7 +449,7 @@ def fig3(config, out, threads, method):
         path = os.path.join(out_dir, "fig3_joint.csv")
         _write_csv(path, ["n_1", "n_2", "probability"], rows)
         click.echo(f"wrote {path} ({len(rows)} rows)")
-        sys.exit(EXIT_PARTIAL if had_errors else EXIT_OK)
+        sys.exit(EXIT_OK)
 
     _guard(run)
 
@@ -485,40 +460,13 @@ def fig4(config, out, threads, method):
     """Signal-mode flux vs detuning: closed-form PT next to periodic numerics."""
     def run():
         scenario = _overrides(_load(config, "fig4.yaml"), method, threads)
-        sweep = scenario.sweeps[0]
-        header = [
-            "omega_delta", "r",
-            "I_2_pt2", "sigma2_2_pt2", "snr_2_pt2",
-            "I_2_numeric", "sigma2_2_numeric", "snr_2_numeric",
-            "error",
-            "stencil_error_pt2", "flagged_pt2",
-            "stencil_error_numeric", "flagged_numeric",
-        ]
-        payloads = []
-        keys = []
-        for rv in sweep.repeat_values or (scenario.model_params.r,):
-            base = apply_sweep_value(scenario.model_params, "r", rv)
-            for x in sweep.grid():
-                params = apply_sweep_value(base, sweep.variable, x)
-                payloads.append((params, scenario.numerics.steps))
-                keys.append((x, int(round(rv))))
-        nthreads = scenario.numerics.threads
-        if nthreads > 1:
-            with ProcessPoolExecutor(max_workers=nthreads) as pool:
-                results = list(pool.map(_fig4_point, payloads, chunksize=2))
-        else:
-            results = [_fig4_point(p) for p in payloads]
-        rows = []
-        had_errors = False
-        for (x, rv), res in zip(keys, results):
-            rows.append([x, rv] + list(res))
-            had_errors = had_errors or bool(res[6])
-        path = out or scenario.output or "fig4.csv"
-        if os.path.isdir(path):
-            path = os.path.join(path, "fig4.csv")
-        _write_csv(path, header, rows)
-        click.echo(f"wrote {path} ({len(rows)} rows)")
-        sys.exit(EXIT_PARTIAL if had_errors else EXIT_OK)
+        _require_kind(scenario, "lambda", "fig4")
+        path = _single_output_path(out, scenario.output, "fig4.csv") or "fig4.csv"
+        failed = _run_sweep(
+            scenario, _sweeps(scenario)[0], path, _fig4_point, _FIG4_HEADER,
+            lambda x, rv, params: [x, params.r],
+        )
+        sys.exit(EXIT_PARTIAL if failed else EXIT_OK)
 
     _guard(run)
 
@@ -539,13 +487,23 @@ def _joint_rows(payload):
     return rows_idx, values
 
 
-def _fig4_point(payload):
+_FIG4_HEADER = [
+    "omega_delta", "r",
+    "I_2_pt2", "sigma2_2_pt2", "snr_2_pt2",
+    "I_2_numeric", "sigma2_2_numeric", "snr_2_numeric",
+    "error",
+    "stencil_error_pt2", "flagged_pt2",
+    "stencil_error_numeric", "flagged_numeric",
+]
+
+
+def _fig4_point(scenario: Scenario):
     """One fig4 row after (omega_delta, r): the values, error, then provenance."""
-    params, steps = payload
+    params = scenario.model_params
     try:
         pt = cumulants(LambdaModel(params), 2, method=Method.ANALYTIC_ORACLE)
         num = cumulants(
-            LambdaPeriodicModel(params, steps=steps), 2,
+            LambdaPeriodicModel(params, steps=scenario.numerics.steps), 2,
             method=Method.PERIODIC_NUMERIC,
         )
     except Exception as exc:
@@ -560,18 +518,7 @@ def _fig4_point(payload):
 @shared_options
 def fig5(config, out, threads, method):
     """Signal-mode statistics vs pump-modulation amplitude."""
-    def run():
-        scenario = _overrides(_load(config, "fig5.yaml"), method, threads)
-        had_errors = False
-        for sweep in scenario.sweeps:
-            header, rows, errs = _run_sweep(scenario, sweep, scenario.numerics.threads)
-            path = _sweep_output_path(scenario, sweep, out, prefix="fig5")
-            _write_csv(path, header, rows)
-            click.echo(f"wrote {path} ({len(rows)} rows)")
-            had_errors = had_errors or errs
-        sys.exit(EXIT_PARTIAL if had_errors else EXIT_OK)
-
-    _guard(run)
+    _guard(lambda: _sweep_command("fig5", "fig5.yaml", config, out, threads, method))
 
 
 if __name__ == "__main__":

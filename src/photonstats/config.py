@@ -366,6 +366,9 @@ _TOP_KEYS = {
 }
 
 
+_STEP_METHODS = (Method.SPECTRAL_FD, Method.PERTURBATION)
+
+
 def method_violations(
     method: Method, kind: str | None, numerics: Numerics
 ) -> list[str]:
@@ -373,10 +376,10 @@ def method_violations(
     out = []
     if method is Method.PERIODIC_NUMERIC and kind == "jc":
         out.append("method: PeriodicNumeric applies to the lambda model only")
-    if method is Method.PERIODIC_NUMERIC and numerics.h is not None:
+    if numerics.h is not None and method not in _STEP_METHODS:
         out.append(
-            "numerics.h: PeriodicNumeric differentiates exactly and takes no "
-            "stencil step; leave h null"
+            f"numerics.h: {method.value} takes no stencil step (only "
+            "SpectralFD and PerturbationTheory do); leave h null"
         )
     return out
 

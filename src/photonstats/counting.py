@@ -2,9 +2,11 @@
 
 A model exposes ``dressed_liouvillian(chi, xi)``; this module turns that into
 moment-generating functions, the slow eigenvalue lambda_0(xi, chi), and flux /
-noise reports by differentiation at zero counting fields.  Time-periodic
-models also expose ``time_harmonics(chi, xi)``, from which the PeriodicNumeric
-route differentiates the slow Floquet multiplier exactly.
+noise reports by differentiation at zero counting fields.  Optional model
+hooks serve the other routes: ``tagged_terms(chi, xi)`` PerturbationTheory,
+``time_harmonics(chi, xi)`` PeriodicNumeric (which differentiates the slow
+Floquet multiplier exactly) and ``oracle_cumulants(selector)``
+AnalyticOracle.  The engine imports no model.
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charpoly import (
-    char_poly,
-    coefficient_derivatives,
-    first_cumulant_rate,
-    second_cumulant_rate,
-    truncated_root,
-)
+from .charpoly import coefficient_derivatives, fourier_derivatives, truncated_root
 from .numdiff import central_derivative
 from .superop import (
     StepConvergenceError,
@@ -346,6 +342,14 @@ def _check_order(order: int) -> None:
         )
 
 
+def _refuse_step(method: Method, h: float | None) -> None:
+    if h is not None:
+        raise ValueError(
+            f"{method.value} takes no stencil step h; only SpectralFD and "
+            "PerturbationTheory do"
+        )
+
+
 def _report_from_lambda0(
     f: Callable[[float], complex],
     selector: Selector,
@@ -415,76 +419,46 @@ def cumulants_charpoly(
     Differentiating sum_j a_j(chi) lambda^j = 0 at the stationary root
     lambda(0) = 0 needs only the field-derivatives of a0 and a1, which are
     obtained exactly (up to roundoff) by trigonometric interpolation over
-    one field period.  An explicit ``h`` instead selects the stencil route
-    of :func:`~photonstats.charpoly.second_cumulant_rate` (useful for
-    step-size studies).
+    one field period; the reported ``h`` is the sample spacing.
     """
     _check_order(order)
+    _refuse_step(Method.CHARPOLY, h)
 
     def matrix_fn(x: float):
         fields = _fields_for(model, selector, x)
         return model.dressed_liouvillian(fields.chi, fields.xi)
 
-    if h is not None:
-        flux, d1 = first_cumulant_rate(lambda x: char_poly(matrix_fn(x)), h)
-        noise, d2 = second_cumulant_rate(lambda x: char_poly(matrix_fn(x)), h)
-        err = max(d1.rel_error, d2.rel_error)
-    else:
-        derivs = coefficient_derivatives(matrix_fn)
-        # degeneracy guard: raises if a1(0) vanishes
-        truncated_root(derivs.at_zero, 2)
-        a1 = derivs.at_zero.coefficients[1]
-        a2 = derivs.at_zero.coefficients[2]
-        dlam = -derivs.da0 / a1
-        d2lam = -(derivs.d2a0 + 2.0 * derivs.da1 * dlam + 2.0 * a2 * dlam * dlam) / a1
-        flux = float((1j * dlam).real)
-        noise = float((-d2lam).real)
-        err = derivs.rel_error
-        h = 2.0 * math.pi / derivs.n_samples
+    derivs = coefficient_derivatives(matrix_fn)
+    # degeneracy guard: raises if a1(0) vanishes
+    truncated_root(derivs.at_zero, 2)
+    a1 = derivs.at_zero.coefficients[1]
+    a2 = derivs.at_zero.coefficients[2]
+    dlam = -derivs.da0 / a1
+    d2lam = -(derivs.d2a0 + 2.0 * derivs.da1 * dlam + 2.0 * a2 * dlam * dlam) / a1
+    err = derivs.rel_error
     return CumulantReport(
         mode=selector,
-        flux=flux,
-        noise=noise,
+        flux=float((1j * dlam).real),
+        noise=float((-d2lam).real),
         method=Method.CHARPOLY,
-        h=h,
+        h=2.0 * math.pi / derivs.n_samples,
         stencil_error=err,
         flagged=err > _STENCIL_FLAG_RTOL,
     )
 
 
-def cumulants_oracle(model, selector: Selector, order: int = 2) -> CumulantReport:
-    """Closed-form (or closed-form-derived) cumulants where the model has them."""
+def cumulants_oracle(
+    model, selector: Selector, order: int = 2, h: float | None = None
+) -> CumulantReport:
+    """Closed-form (or closed-form-derived) cumulants where the model has them.
+
+    The model supplies them through ``oracle_cumulants(selector)``.
+    """
     _check_order(order)
-    # imported here to keep the engine free of model dependencies at import
-    from .models.jc import JaynesCummingsModel, jc_exact_cumulants
-    from .models.lambda_system import LambdaModel, lambda_lambda0_pt2
-
-    if isinstance(model, JaynesCummingsModel):
-        field_name = {1: "mode1", 2: "mode2", "drive": "drive", "bath": "bath"}[
-            selector
-        ]
-        flux, noise = jc_exact_cumulants(model.params, field_name)
-        return CumulantReport(
-            mode=selector,
-            flux=flux,
-            noise=noise,
-            method=Method.ANALYTIC_ORACLE,
-            h=0.0,
-            stencil_error=0.0,
-        )
-    if isinstance(model, LambdaModel):
-        if selector == "bath":
-            raise ValueError(
-                "the closed-form slow eigenvalue counts drive photons only"
-            )
-        h = default_step(model)
-
-        def f(x: float) -> complex:
-            fields = _fields_for(model, selector, x)
-            return lambda_lambda0_pt2(model.params, fields.chi)
-
-        return _report_from_lambda0(f, selector, Method.ANALYTIC_ORACLE, h)
-    raise NotImplementedError(f"no analytic oracle for {type(model).__name__}")
+    _refuse_step(Method.ANALYTIC_ORACLE, h)
+    if not hasattr(model, "oracle_cumulants"):
+        raise NotImplementedError(f"no analytic oracle for {type(model).__name__}")
+    return model.oracle_cumulants(selector)
 
 
 def cumulants_perturbation(
@@ -511,24 +485,6 @@ def cumulants_perturbation(
         return nhpt_eigenvalue(split, mu, order=2)
 
     return _report_from_lambda0(f, selector, Method.PERTURBATION, h)
-
-
-def _field_derivatives(sample: Callable[[float], np.ndarray]):
-    """Value, first and second derivative at x = 0 of an array-valued function.
-
-    Every entry of a counting-field-dressed generator (and of each of its
-    time harmonics) is a trigonometric polynomial of degree 1 in a single
-    field, so four equispaced samples over one period determine it exactly;
-    the aliased degree-2 coefficient must vanish.
-    """
-    n = 4
-    samples = np.array([sample(2.0 * math.pi * j / n) for j in range(n)], dtype=complex)
-    coeff = np.fft.fft(samples, axis=0) / n  # bins m = 0, 1, +-2, -1
-    scale = max(float(np.abs(samples).max()), 1e-300)
-    if float(np.abs(coeff[2]).max()) > 1e-12 * scale:
-        raise ValueError("generator is not of trigonometric degree 1 in the field")
-    plus, minus = coeff[1], coeff[3]
-    return samples[0], 1j * (plus - minus), -(plus + minus)
 
 
 def _slow_exponent_rates(u, du, d2u, period: float) -> tuple[float, float]:
@@ -571,11 +527,7 @@ def cumulants_periodic(
     raises :class:`~photonstats.superop.StepConvergenceError`.
     """
     _check_order(order)
-    if h is not None:
-        raise ValueError(
-            "PeriodicNumeric differentiates the Floquet multiplier exactly "
-            "and takes no stencil step h"
-        )
+    _refuse_step(Method.PERIODIC_NUMERIC, h)
     if not hasattr(model, "time_harmonics"):
         raise NotImplementedError(
             f"{type(model).__name__} is not a time-periodic model"
@@ -587,7 +539,12 @@ def cumulants_periodic(
         fields = _fields_for(model, selector, x)
         return model.time_harmonics(fields.chi, fields.xi)[1]
 
-    derivs = np.stack(_field_derivatives(harmonics))
+    # harmonics are of trigonometric degree 1: the Nyquist bin must be empty
+    samples = np.array([harmonics(2.0 * math.pi * j / 4) for j in range(4)], dtype=complex)
+    coeffs, _, d1, d2 = fourier_derivatives(samples)
+    if np.abs(coeffs[2]).max() > 1e-12 * max(float(np.abs(samples).max()), 1e-300):
+        raise ValueError("generator is not of trigonometric degree 1 in the field")
+    derivs = np.stack((samples[0], d1, d2))
     passes = []
     for steps in (model.steps, 2 * model.steps):
         u, du, d2u = variational_monodromy(orders, derivs, model.period, steps)
@@ -612,6 +569,7 @@ def cumulants_periodic(
 _DISPATCH = {
     Method.SPECTRAL_FD: cumulants_spectral,
     Method.CHARPOLY: cumulants_charpoly,
+    Method.ANALYTIC_ORACLE: cumulants_oracle,
     Method.PERTURBATION: cumulants_perturbation,
     Method.PERIODIC_NUMERIC: cumulants_periodic,
 }
@@ -625,8 +583,6 @@ def cumulants(
     h: float | None = None,
 ) -> CumulantReport:
     """Dispatch a cumulant computation to the requested method."""
-    if method is Method.ANALYTIC_ORACLE:
-        return cumulants_oracle(model, selector, order)
     return _DISPATCH[method](model, selector, order, h)
 
 

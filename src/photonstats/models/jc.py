@@ -18,23 +18,21 @@ xi - chi only, which is what makes the drive and bath ledgers consistent.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..charpoly import CharPolyCoeffs, char_poly
+from ..charpoly import CharPolyCoeffs, char_poly, fourier_derivatives
+from ..counting import CumulantReport, Method
 from ..superop import Basis
 
 __all__ = [
     "JcParams",
-    "NoiseMode",
     "JaynesCummingsModel",
     "jc_liouvillian",
     "jc_charpoly_analytic",
     "jc_flux_oracle",
-    "jc_noise_oracle",
     "jc_exact_cumulants",
     "jc_stationary_bloch",
     "jc_quasienergies",
@@ -76,11 +74,6 @@ class JcParams:
             + self.omega2**2
             + 2.0 * self.omega1 * self.omega2 * math.cos(self.phase_diff)
         )
-
-
-class NoiseMode(enum.Enum):
-    WEAK_GAMMA = "WeakGamma"
-    EXACT = "Exact"
 
 
 def jc_liouvillian(
@@ -165,16 +158,13 @@ def jc_weak_gamma_noise(p: JcParams) -> float:
 _FOURIER_N = 16
 
 
-def _coefficient_derivatives(
-    p: JcParams, field: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact first/second field-derivatives of the polynomial coefficients.
+def _charpoly_samples(p: JcParams, field: str) -> np.ndarray:
+    """Characteristic-polynomial coefficients over one period of one field.
 
     Every matrix entry of the dressed generator is a trigonometric
     polynomial of degree 1 in any single counting field, so each
-    characteristic-polynomial coefficient has trigonometric degree <= 4 and
-    is interpolated exactly from 16 equispaced samples over one period.
-    Returns (a(0), a'(0), a''(0)).
+    coefficient has trigonometric degree <= 4 and is interpolated exactly
+    from 16 equispaced samples.
     """
     grid = 2.0 * np.pi * np.arange(_FOURIER_N) / _FOURIER_N
     samples = np.empty((_FOURIER_N, 5), dtype=complex)
@@ -190,13 +180,7 @@ def _coefficient_derivatives(
         else:
             raise ValueError(f"unknown counting field {field!r}")
         samples[j] = char_poly(l).coefficients
-    c = np.fft.fft(samples, axis=0) / _FOURIER_N
-    m = np.fft.fftfreq(_FOURIER_N, d=1.0 / _FOURIER_N)
-    m[_FOURIER_N // 2] = 0.0  # Nyquist bin is numerical noise (degree <= 4)
-    a0 = c.sum(axis=0)
-    a1 = (1j * m[:, None] * c).sum(axis=0)
-    a2 = (-(m[:, None] ** 2) * c).sum(axis=0)
-    return a0, a1, a2
+    return samples
 
 
 def jc_exact_cumulants(p: JcParams, field: str = "mode1") -> tuple[float, float]:
@@ -207,7 +191,7 @@ def jc_exact_cumulants(p: JcParams, field: str = "mode1") -> tuple[float, float]
     The coefficient derivatives are exact Fourier interpolants, so this is a
     non-perturbative oracle limited only by round-off.
     """
-    a, da, d2a = _coefficient_derivatives(p, field)
+    _, a, da, d2a = fourier_derivatives(_charpoly_samples(p, field))
     if abs(a[1]) == 0.0:
         raise ZeroDivisionError("degenerate stationary root (a1 = 0)")
     lam1 = -da[0] / a[1]
@@ -215,13 +199,6 @@ def jc_exact_cumulants(p: JcParams, field: str = "mode1") -> tuple[float, float]
     flux = float((1j * lam1).real)
     noise = float((-lam2).real)
     return flux, noise
-
-
-def jc_noise_oracle(p: JcParams, mode: NoiseMode = NoiseMode.EXACT) -> float:
-    """Mode-1 noise rate, either the weak-gamma law or the exact value."""
-    if mode is NoiseMode.WEAK_GAMMA:
-        return jc_weak_gamma_noise(p)
-    return jc_exact_cumulants(p, "mode1")[1]
 
 
 def jc_floquet_switching_noise(p: JcParams) -> float:
@@ -368,3 +345,16 @@ class JaynesCummingsModel:
 
     def semiclassical_flux(self, mode: int) -> float:
         return jc_semiclassical_flux(self.params, mode)
+
+    def oracle_cumulants(self, selector) -> CumulantReport:
+        """AnalyticOracle: exact cumulants from the closed-form quartic."""
+        field = {1: "mode1", 2: "mode2", "drive": "drive", "bath": "bath"}[selector]
+        flux, noise = jc_exact_cumulants(self.params, field)
+        return CumulantReport(
+            mode=selector,
+            flux=flux,
+            noise=noise,
+            method=Method.ANALYTIC_ORACLE,
+            h=0.0,
+            stencil_error=0.0,
+        )

@@ -31,6 +31,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..bessel import bessel_j
+from ..counting import (
+    CumulantReport,
+    Method,
+    _fields_for,
+    _report_from_lambda0,
+    default_step,
+)
 from ..superop import (
     Basis,
     dissipator_superop,
@@ -254,6 +261,19 @@ class LambdaModel:
         v = np.zeros(9, dtype=complex)
         v[0] = 1.0
         return v
+
+    def oracle_cumulants(self, selector) -> CumulantReport:
+        """AnalyticOracle: stencil derivatives of :func:`lambda_lambda0_pt2`."""
+        if selector == "bath":
+            raise ValueError("the closed-form slow eigenvalue counts drive photons only")
+
+        def lambda0(x: float) -> complex:
+            chi = _fields_for(self, selector, x).chi
+            return lambda_lambda0_pt2(self.params, chi)
+
+        return _report_from_lambda0(
+            lambda0, selector, Method.ANALYTIC_ORACLE, default_step(self)
+        )
 
 
 class LambdaPeriodicModel:

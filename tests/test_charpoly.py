@@ -8,14 +8,13 @@ from photonstats.charpoly import (
     DegenerateRootError,
     char_poly,
     coefficient_derivatives,
-    first_cumulant_rate,
-    second_cumulant_rate,
     truncated_root,
 )
+from photonstats.counting import Method, cumulants
 from photonstats.models.jc import (
+    JaynesCummingsModel,
     JcParams,
     jc_charpoly_analytic,
-    jc_exact_cumulants,
     jc_liouvillian,
 )
 
@@ -105,32 +104,10 @@ class TestCoefficientDerivatives:
         assert derivs.da1 == pytest.approx(-8j * w2 * g, rel=1e-10)
         assert derivs.rel_error < 1e-10
 
-    def test_matches_stencil_route(self):
-        p = JcParams(eps_delta=0.1, omega2=1.0, phi2=1.1, gamma=0.01)
-        coeff_fn = lambda x: char_poly(jc_liouvillian(p, (x, 0.0), 0.0))
-        flux_stencil, _ = first_cumulant_rate(coeff_fn, h=1e-3)
-        derivs = coefficient_derivatives(lambda x: jc_liouvillian(p, (x, 0.0), 0.0))
-        a1 = derivs.at_zero.coefficients[1]
-        flux_fourier = float((-1j * derivs.da0 / a1).real)
-        assert flux_fourier == pytest.approx(flux_stencil, rel=1e-8)
-
 
 class TestCumulantRates:
-    def test_flux_and_noise_against_oracle(self):
-        p = JcParams(eps_delta=0.2, omega2=0.9, phi2=0.7, gamma=0.02)
-        flux_ref, noise_ref = jc_exact_cumulants(p, "mode1")
-        coeff_fn = lambda x: char_poly(jc_liouvillian(p, (x, 0.0), 0.0))
-        flux, d1 = first_cumulant_rate(coeff_fn)
-        noise, d2 = second_cumulant_rate(coeff_fn)
-        assert flux == pytest.approx(flux_ref, rel=1e-8)
-        assert noise == pytest.approx(noise_ref, rel=1e-6)
-        assert d1.rel_error < 1e-6 and d2.rel_error < 1e-4
-
     def test_degenerate_root_raises(self):
         # gamma = 0 makes a1(0) = 0: the stationary root is not simple
         p = JcParams(eps_delta=0.0, omega2=1.0, gamma=0.0)
-        coeff_fn = lambda x: char_poly(jc_liouvillian(p, (x, 0.0), 0.0))
         with pytest.raises(DegenerateRootError):
-            first_cumulant_rate(coeff_fn)
-        with pytest.raises(DegenerateRootError):
-            second_cumulant_rate(coeff_fn)
+            cumulants(JaynesCummingsModel(p), 1, method=Method.CHARPOLY)

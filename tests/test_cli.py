@@ -186,3 +186,51 @@ class TestConserveCommand:
         result = runner.invoke(main, ["conserve", "--config", cfg])
         assert result.exit_code == 0
         assert result.output.startswith("PASS")
+
+
+JC_MODEL = "model:\n  kind: jc\n"
+LAMBDA_MODEL = "model:\n  kind: lambda\nmode: 2\n"
+DETUNING_SWEEP = (
+    "sweep:\n  variable: omega_delta\n  start: -2.0\n  stop: 2.0\n  points: 2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("fig2", JC_MODEL, "sweep"),
+        ("fig5", LAMBDA_MODEL, "sweep"),
+        ("fig4", LAMBDA_MODEL, "sweep"),
+        ("fig4", JC_MODEL + "sweep:\n  variable: gamma\n", "model.kind"),
+        ("fig3", LAMBDA_MODEL, "model.kind"),
+    ],
+)
+def test_figure_commands_refuse_bad_configurations(runner, tmp_path, command, doc,
+                                                   message):
+    cfg = write(tmp_path, "bad.yaml", doc)
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command, doc, name",
+    [
+        ("scan", SCAN_DOC, "scan_eps_delta.csv"),
+        ("fig4", LAMBDA_MODEL + DETUNING_SWEEP + "numerics:\n  steps: 256\n",
+         "fig4.csv"),
+    ],
+)
+def test_worker_processes_write_the_same_bytes(runner, tmp_path, command, doc, name):
+    cfg = write(tmp_path, "s.yaml", doc)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        result = runner.invoke(
+            main, [command, "--config", cfg, "--out", str(out), "--threads", threads]
+        )
+        assert result.exit_code == 0, result.output
+        outputs.append((out / name).read_bytes())
+    assert outputs[0] == outputs[1]

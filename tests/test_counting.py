@@ -1,10 +1,13 @@
 """Counting engine: generating functions, slow eigenvalue, cumulant reports."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from photonstats import counting
 from photonstats.counting import (
     BranchCollisionError,
     CountingFields,
@@ -163,6 +166,18 @@ class TestCumulants:
             cumulants_spectral(m, 3)
         with pytest.raises(ValueError):
             cumulants_spectral(m, "everything")
+
+    def test_engine_imports_no_model_and_tables_every_method(self):
+        tree = ast.parse(Path(counting.__file__).read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.append(node.module or "")
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+        assert not [name for name in imported if "models" in name.split(".")]
+        assert set(counting._DISPATCH) == set(Method)
 
     def test_dispatch(self):
         m = model(gamma=0.05)

@@ -10,7 +10,6 @@ from photonstats.counting import Method, cumulants
 from photonstats.models.jc import (
     JaynesCummingsModel,
     JcParams,
-    NoiseMode,
     jc_charpoly_analytic,
     jc_closed_statistics,
     jc_dressed_quasienergies,
@@ -18,7 +17,6 @@ from photonstats.models.jc import (
     jc_floquet_switching_noise,
     jc_flux_oracle,
     jc_liouvillian,
-    jc_noise_oracle,
     jc_quasienergies,
     jc_semiclassical_flux,
     jc_stationary_bloch,
@@ -129,13 +127,6 @@ class TestNoise:
         for phi, o2 in ((0.0, 1.0), (math.pi, 0.7)):
             p = JcParams(eps_delta=0.0, omega2=o2, phi2=phi, gamma=1e-3)
             assert jc_weak_gamma_noise(p) == pytest.approx(0.0, abs=1e-20)
-
-    def test_noise_mode_dispatch(self):
-        p = JcParams(eps_delta=0.0, omega2=1.0, phi2=math.pi / 2, gamma=1e-4)
-        assert jc_noise_oracle(p, NoiseMode.WEAK_GAMMA) == pytest.approx(
-            jc_weak_gamma_noise(p)
-        )
-        assert jc_noise_oracle(p) == pytest.approx(jc_exact_cumulants(p, "mode1")[1])
 
     def test_gamma_zero_diverges(self):
         with pytest.raises(ZeroDivisionError):

@@ -82,12 +82,18 @@ def test_step_doubling_error_is_reported_without_propagator_check():
     assert rep.stencil_error > 1e-6 and rep.flagged
 
 
+# numerics.h is a stencil step: only SpectralFD and PerturbationTheory take one
+STEP_FREE_ROUTES = (
+    (Method.CHARPOLY, LambdaModel),
+    (Method.ANALYTIC_ORACLE, LambdaModel),
+    (Method.PERIODIC_NUMERIC, LambdaPeriodicModel),
+)
+
+
 def test_stencil_step_is_refused():
-    with pytest.raises(ValueError, match="stencil step"):
-        cumulants(
-            LambdaPeriodicModel(LambdaParams()), 2,
-            method=Method.PERIODIC_NUMERIC, h=1e-3,
-        )
+    for method, model_cls in STEP_FREE_ROUTES:
+        with pytest.raises(ValueError, match="stencil step"):
+            cumulants(model_cls(LambdaParams()), 2, method=method, h=1e-3)
 
 
 def test_static_model_has_no_periodic_route():
@@ -106,21 +112,26 @@ def test_harmonics_beyond_degree_one_in_the_field_are_refused():
 
 
 def test_scenario_rejects_stencil_step_for_periodic_numeric():
-    doc = "model:\n  kind: lambda\nmethod: PeriodicNumeric\nnumerics:\n  h: 0.001\n"
-    with pytest.raises(ScenarioError) as exc:
+    step = "numerics:\n  h: 0.001\n"
+    for method, _ in STEP_FREE_ROUTES:
+        doc = f"model:\n  kind: lambda\nmethod: {method.value}\n"
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(doc + step)
+        assert any(v.startswith("numerics.h") for v in exc.value.violations)
         parse_scenario(doc)
-    assert any(v.startswith("numerics.h") for v in exc.value.violations)
-    parse_scenario("model:\n  kind: lambda\nmethod: PeriodicNumeric\n")
+    for method in (Method.SPECTRAL_FD, Method.PERTURBATION):
+        parse_scenario(f"model:\n  kind: lambda\nmethod: {method.value}\n" + step)
 
 
 def test_cli_method_override_rejects_stencil_step(tmp_path):
     cfg = tmp_path / "s.yaml"
     cfg.write_text("model:\n  kind: lambda\nnumerics:\n  h: 0.001\n")
-    result = CliRunner().invoke(
-        main, ["cumulants", "--config", str(cfg), "--method", "PeriodicNumeric"]
-    )
-    assert result.exit_code == 2
-    assert "numerics.h" in result.output
+    for method, _ in STEP_FREE_ROUTES:
+        result = CliRunner().invoke(
+            main, ["cumulants", "--config", str(cfg), "--method", method.value]
+        )
+        assert result.exit_code == 2
+        assert "numerics.h" in result.output
 
 
 def test_time_harmonics_reproduce_callback():
