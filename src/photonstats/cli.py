@@ -34,7 +34,14 @@ from .counting import (
     cumulants,
     dynamical_mgf,
 )
-from .distributions import GaussianLaw, PoissonLaw, closed_mgf, reconstruct, reconstruct_from_mgf
+from .distributions import (
+    GaussianLaw,
+    PoissonLaw,
+    WindowOverflowError,
+    closed_mgf,
+    reconstruct,
+    reconstruct_from_mgf,
+)
 from .models.jc import JaynesCummingsModel, JcParams, jc_closed_statistics
 from .models.lambda_system import LambdaModel, LambdaPeriodicModel
 
@@ -223,12 +230,19 @@ def main() -> None:
 
 
 def _guard(fn):
-    """Run fn, mapping configuration errors to exit code 2."""
+    """Run fn, mapping configuration errors to exit code 2.
+
+    An FFT window too small for the distribution's support is one of them:
+    ``numerics.n_fft`` sets it, and the message suggests a sufficient size.
+    """
     try:
         return fn()
     except (ScenarioError, click.UsageError) as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFIG)
+        message = str(exc)
+    except WindowOverflowError as exc:
+        message = f"numerics.n_fft: {exc}"
+    click.echo(message, err=True)
+    sys.exit(EXIT_CONFIG)
 
 
 @main.command("cumulants")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import yaml
 
-from .counting import Method
+from .counting import DEFAULT_METHOD, STEP_METHODS, Method, no_step_message
 from .models.jc import JcParams
 from .models.lambda_system import LambdaParams
 
@@ -100,7 +100,7 @@ class ClosedSpec:
 class Scenario:
     model_kind: str
     model_params: JcParams | LambdaParams
-    method: Method = Method.SPECTRAL_FD
+    method: Method = DEFAULT_METHOD
     task: Task = Task.CUMULANTS
     mode: int | str = 1
     sweeps: tuple[SweepSpec, ...] = ()
@@ -366,9 +366,6 @@ _TOP_KEYS = {
 }
 
 
-_STEP_METHODS = (Method.SPECTRAL_FD, Method.PERTURBATION)
-
-
 def method_violations(
     method: Method, kind: str | None, numerics: Numerics
 ) -> list[str]:
@@ -376,11 +373,8 @@ def method_violations(
     out = []
     if method is Method.PERIODIC_NUMERIC and kind == "jc":
         out.append("method: PeriodicNumeric applies to the lambda model only")
-    if numerics.h is not None and method not in _STEP_METHODS:
-        out.append(
-            f"numerics.h: {method.value} takes no stencil step (only "
-            "SpectralFD and PerturbationTheory do); leave h null"
-        )
+    if numerics.h is not None and method not in STEP_METHODS:
+        out.append(f"numerics.h: {no_step_message(method)}; leave h null")
     return out
 
 
@@ -395,7 +389,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(["document: expected a top-level mapping"])
     _check_unknown(out, "", doc, _TOP_KEYS)
     model = _parse_model(out, doc.get("model"))
-    method = Method.SPECTRAL_FD
+    method = DEFAULT_METHOD
     if "method" in doc:
         names = {m.value: m for m in Method}
         if doc["method"] not in names:

@@ -2,7 +2,9 @@
 
 A model exposes ``dressed_liouvillian(chi, xi)``; this module turns that into
 moment-generating functions, the slow eigenvalue lambda_0(xi, chi), and flux /
-noise reports by differentiation at zero counting fields.  Optional model
+noise reports by differentiation at zero counting fields.  The default
+route, PseudoInverse, differentiates lambda_0 exactly through the
+pseudo-inverse of the generator.  Optional model
 hooks serve the other routes: ``tagged_terms(chi, xi)`` PerturbationTheory,
 ``time_harmonics(chi, xi)`` PeriodicNumeric (which differentiates the slow
 Floquet multiplier exactly) and ``oracle_cumulants(selector)``
@@ -18,7 +20,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charpoly import coefficient_derivatives, fourier_derivatives, truncated_root
+from .charpoly import (
+    DegenerateRootError,
+    coefficient_derivatives,
+    fourier_derivatives,
+    truncated_root,
+)
 from .numdiff import central_derivative
 from .superop import (
     StepConvergenceError,
@@ -30,6 +37,9 @@ from .superop import (
 
 __all__ = [
     "Method",
+    "DEFAULT_METHOD",
+    "STEP_METHODS",
+    "no_step_message",
     "CountingFields",
     "MgfValue",
     "CumulantReport",
@@ -50,6 +60,7 @@ __all__ = [
     "cumulants_charpoly",
     "cumulants_oracle",
     "cumulants_periodic",
+    "cumulants_pseudo_inverse",
     "conservation_check",
     "semiclassical_flux",
     "validity_window",
@@ -64,6 +75,18 @@ class Method(enum.Enum):
     ANALYTIC_ORACLE = "AnalyticOracle"
     PERTURBATION = "PerturbationTheory"
     PERIODIC_NUMERIC = "PeriodicNumeric"
+    PSEUDO_INVERSE = "PseudoInverse"
+
+
+DEFAULT_METHOD = Method.PSEUDO_INVERSE
+# the routes that differentiate by a finite-difference stencil of step h
+STEP_METHODS = (Method.SPECTRAL_FD, Method.PERTURBATION)
+
+
+def no_step_message(method: Method) -> str:
+    """Why ``method`` refuses a stencil step ``h`` (engine and scenario checks)."""
+    names = " and ".join(m.value for m in STEP_METHODS)
+    return f"{method.value} takes no stencil step h; only {names} do"
 
 
 class BranchCollisionError(RuntimeError):
@@ -344,10 +367,7 @@ def _check_order(order: int) -> None:
 
 def _refuse_step(method: Method, h: float | None) -> None:
     if h is not None:
-        raise ValueError(
-            f"{method.value} takes no stencil step h; only SpectralFD and "
-            "PerturbationTheory do"
-        )
+        raise ValueError(no_step_message(method))
 
 
 def _report_from_lambda0(
@@ -513,6 +533,82 @@ def _rel_change(coarse: float, fine: float) -> float:
     return abs(fine - coarse) / max(abs(fine), 1e-300)
 
 
+_NYQUIST_RTOL = 1e-12
+
+
+def _degree_one_derivatives(
+    fn: Callable[[float], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """fn(0), fn'(0), fn''(0) of a field function of trigonometric degree 1.
+
+    Four equispaced samples over one field period determine such a function
+    exactly, so the derivatives carry roundoff only.  The Nyquist bin must
+    then be empty: its weight relative to the largest sample is returned as
+    the share, and a share above 1e-12 raises ``ValueError``.
+    """
+    samples = np.array([fn(2.0 * math.pi * j / 4) for j in range(4)], dtype=complex)
+    coeffs, _, d1, d2 = fourier_derivatives(samples)
+    share = float(np.abs(coeffs[2]).max()) / max(float(np.abs(samples).max()), 1e-300)
+    if share > _NYQUIST_RTOL:
+        raise ValueError("generator is not of trigonometric degree 1 in the field")
+    return samples[0], d1, d2, share
+
+
+def cumulants_pseudo_inverse(
+    model, selector: Selector, order: int = 2, h: float | None = None
+) -> CumulantReport:
+    """Flux and noise from the pseudo-inverse of the generator, with no step.
+
+    The slow eigenvalue of L(x) has lambda' = l L' r and
+    lambda'' = l L'' r - 2 l L' R L' r (Flindt et al., PRL 100, 150601
+    (2008)), with l the trace, r the stationary state and R the
+    pseudo-inverse of L(0) on the complement of its null space; L' and L''
+    are exact (4-point Fourier sampling).  One inverse of the bordered
+    matrix B = [[L(0), conj(l)], [l, 0]] serves both solves: r from
+    L(0) r = 0, l r = 1 (the last column), and x = R (L' r - lambda' r) from
+    L(0) x = L' r - lambda' r, l x = 0.  The reported ``stencil_error`` is a
+    forward-error estimate, the larger of the Nyquist share of the samples
+    and eps * cond_1(B), with cond_1(B) exact from the inverse.  (Numpy's
+    inverse rather than scipy's LU factor and condition estimate: the latter
+    load further LAPACK code and raise a sweep's peak memory by 1 MiB.)
+    """
+    _check_order(order)
+    _refuse_step(Method.PSEUDO_INVERSE, h)
+
+    def generator(x: float) -> np.ndarray:
+        fields = _fields_for(model, selector, x)
+        return model.dressed_liouvillian(fields.chi, fields.xi)
+
+    l0, l1, l2, share = _degree_one_derivatives(generator)
+    trace = model.trace_vector()
+    dim = l0.shape[0]
+    bordered = np.zeros((dim + 1, dim + 1), dtype=complex)
+    bordered[:dim, :dim] = l0
+    bordered[:dim, dim] = np.conj(trace)
+    bordered[dim, :dim] = trace
+    try:
+        inverse = np.linalg.inv(bordered)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateRootError(
+            "the bordered generator is singular: the stationary state is not unique"
+        ) from exc
+    r = inverse[:dim, dim]
+    lam1 = trace @ l1 @ r
+    x = inverse[:dim, :dim] @ (l1 @ r - lam1 * r)
+    lam2 = trace @ l2 @ r - 2.0 * (trace @ l1 @ x)
+    cond = np.abs(bordered).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()
+    err = max(share, float(np.finfo(float).eps * cond))
+    return CumulantReport(
+        mode=selector,
+        flux=float((1j * lam1).real),
+        noise=float((-lam2).real),
+        method=Method.PSEUDO_INVERSE,
+        h=0.0,
+        stencil_error=err,
+        flagged=err > _STENCIL_FLAG_RTOL,
+    )
+
+
 def cumulants_periodic(
     model, selector: Selector, order: int = 2, h: float | None = None
 ) -> CumulantReport:
@@ -539,12 +635,8 @@ def cumulants_periodic(
         fields = _fields_for(model, selector, x)
         return model.time_harmonics(fields.chi, fields.xi)[1]
 
-    # harmonics are of trigonometric degree 1: the Nyquist bin must be empty
-    samples = np.array([harmonics(2.0 * math.pi * j / 4) for j in range(4)], dtype=complex)
-    coeffs, _, d1, d2 = fourier_derivatives(samples)
-    if np.abs(coeffs[2]).max() > 1e-12 * max(float(np.abs(samples).max()), 1e-300):
-        raise ValueError("generator is not of trigonometric degree 1 in the field")
-    derivs = np.stack((samples[0], d1, d2))
+    h0, d1, d2, _ = _degree_one_derivatives(harmonics)
+    derivs = np.stack((h0, d1, d2))
     passes = []
     for steps in (model.steps, 2 * model.steps):
         u, du, d2u = variational_monodromy(orders, derivs, model.period, steps)
@@ -572,13 +664,14 @@ _DISPATCH = {
     Method.ANALYTIC_ORACLE: cumulants_oracle,
     Method.PERTURBATION: cumulants_perturbation,
     Method.PERIODIC_NUMERIC: cumulants_periodic,
+    Method.PSEUDO_INVERSE: cumulants_pseudo_inverse,
 }
 
 
 def cumulants(
     model,
     selector: Selector,
-    method: Method = Method.SPECTRAL_FD,
+    method: Method = DEFAULT_METHOD,
     order: int = 2,
     h: float | None = None,
 ) -> CumulantReport:
@@ -588,7 +681,7 @@ def cumulants(
 
 def conservation_check(
     model,
-    method: Method = Method.SPECTRAL_FD,
+    method: Method = DEFAULT_METHOD,
     h: float | None = None,
     flux_tol: float = 1e-8,
     noise_tol: float = 1e-6,

@@ -234,3 +234,13 @@ def test_worker_processes_write_the_same_bytes(runner, tmp_path, command, doc, n
         assert result.exit_code == 0, result.output
         outputs.append((out / name).read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["distribution", "fig3"])
+def test_fft_window_overflow_is_a_configuration_error(runner, tmp_path, command):
+    doc = DIST_DOC.replace("[100.0]", "[2500.0]").replace("1024", "128")
+    cfg = write(tmp_path, "d.yaml", doc)
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "numerics.n_fft" in result.stderr and "suggested N = 1024" in result.stderr
+    assert not list(tmp_path.glob("distribution.csv*"))

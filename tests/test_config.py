@@ -12,7 +12,7 @@ from photonstats.config import (
     apply_sweep_value,
     parse_scenario,
 )
-from photonstats.counting import Method
+from photonstats.counting import DEFAULT_METHOD, Method
 from photonstats.models.jc import JcParams
 from photonstats.models.lambda_system import LambdaParams
 
@@ -29,7 +29,7 @@ def test_minimal_document():
     assert s.model_kind == "jc"
     assert s.model_params.eps_delta == 0.1
     assert s.task is Task.CUMULANTS
-    assert s.method is Method.SPECTRAL_FD
+    assert s.method is DEFAULT_METHOD
 
 
 def test_model_section_required():

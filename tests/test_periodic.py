@@ -87,6 +87,7 @@ STEP_FREE_ROUTES = (
     (Method.CHARPOLY, LambdaModel),
     (Method.ANALYTIC_ORACLE, LambdaModel),
     (Method.PERIODIC_NUMERIC, LambdaPeriodicModel),
+    (Method.PSEUDO_INVERSE, LambdaModel),
 )
 
 
