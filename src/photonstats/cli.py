@@ -408,8 +408,6 @@ def fig3(config, out, threads, method):
     def run():
         scenario = _overrides(_load(config, "fig3.yaml"), method, threads)
         _require_kind(scenario, "jc", "fig3")
-        out_dir = out or scenario.output or "."
-        os.makedirs(out_dir, exist_ok=True)
         spec = scenario.distribution
         law1 = GaussianLaw((spec.nbar[0],), (spec.sigma2[0],))
         base: JcParams = scenario.model_params
@@ -424,9 +422,6 @@ def fig3(config, out, threads, method):
             )
             for n, prob in zip(dist.offsets[0], dist.probabilities):
                 rows.append([t, int(n), float(prob)])
-        path = os.path.join(out_dir, "fig3_marginal.csv")
-        _write_csv(path, ["time", "n_1", "probability"], rows)
-        click.echo(f"wrote {path} ({len(rows)} rows)")
         # (c): joint distribution at phi = pi/2, weak dissipation
         p_c = apply_sweep_value(
             apply_sweep_value(base, "phi2", math.pi / 2), "gamma", 0.001
@@ -455,6 +450,12 @@ def fig3(config, out, threads, method):
             model_c, model_c.stationary_vector(), law2, 50.0, (1, 2), n_joint,
             sampler=joint_sampler,
         )
+        # both windows fit (else WindowOverflowError above): only now write
+        out_dir = out or scenario.output or "."
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, "fig3_marginal.csv")
+        _write_csv(path, ["time", "n_1", "probability"], rows)
+        click.echo(f"wrote {path} ({len(rows)} rows)")
         rows = [
             [int(n1), int(n2), float(dist.probabilities[i, j])]
             for i, n1 in enumerate(dist.offsets[0])

@@ -243,4 +243,13 @@ def test_fft_window_overflow_is_a_configuration_error(runner, tmp_path, command)
     result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
     assert result.exit_code == 2, result.output
     assert "numerics.n_fft" in result.stderr and "suggested N = 1024" in result.stderr
-    assert not list(tmp_path.glob("distribution.csv*"))
+    assert not list(tmp_path.glob(f"{command}*.csv*"))
+
+
+def test_fig3_writes_nothing_when_only_the_joint_window_overflows(runner, tmp_path):
+    # the marginal fits N = 128; the weakly damped joint needs N = 512
+    cfg = write(tmp_path, "d.yaml", DIST_DOC.replace("1024", "128"))
+    result = runner.invoke(main, ["fig3", "--config", cfg, "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "suggested N = 512" in result.stderr
+    assert not list(tmp_path.glob("fig3_*.csv"))

@@ -205,7 +205,7 @@ class TestCumulants:
 class TestConservation:
     def test_drive_balances_bath(self):
         m = model(eps_delta=0.1, omega2=1.0, phi2=0.9, gamma=0.01)
-        rep = conservation_check(m)
+        rep = conservation_check(m, method=Method.SPECTRAL_FD)
         assert rep.passed
         assert abs(rep.flux_residual) <= 1e-8
         assert abs(rep.noise_residual) <= 1e-6

@@ -142,7 +142,7 @@ class TestConservationAndCdt:
         assert abs(rep1.flux + rep2.flux + bath.flux) < 1e-6
 
     def test_spectral_conservation_check(self):
-        rep = conservation_check(LambdaModel(BASE))
+        rep = conservation_check(LambdaModel(BASE), method=Method.SPECTRAL_FD)
         assert rep.passed
 
     def test_destructive_pump_interference_kills_mode2(self):

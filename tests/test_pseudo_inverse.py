@@ -78,7 +78,7 @@ def test_error_estimate_follows_the_conditioning():
 @pytest.mark.parametrize(
     "model",
     [
-        JaynesCummingsModel(JcParams(eps_delta=0.1, omega2=1.0, phi2=0.9, gamma=0.01)),
+        JaynesCummingsModel(JcParams(eps_delta=-0.3, omega2=2.0, phi2=2.2, gamma=1e-3)),
         LambdaModel(fig5_params(2, 160.0)),
     ],
 )
