@@ -55,6 +55,7 @@ __all__ = [
     "track_lambda0",
     "spectral_gap",
     "default_step",
+    "degree_one_derivatives",
     "cumulants",
     "cumulants_spectral",
     "cumulants_charpoly",
@@ -536,7 +537,7 @@ def _rel_change(coarse: float, fine: float) -> float:
 _NYQUIST_RTOL = 1e-12
 
 
-def _degree_one_derivatives(
+def degree_one_derivatives(
     fn: Callable[[float], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """fn(0), fn'(0), fn''(0) of a field function of trigonometric degree 1.
@@ -579,7 +580,7 @@ def cumulants_pseudo_inverse(
         fields = _fields_for(model, selector, x)
         return model.dressed_liouvillian(fields.chi, fields.xi)
 
-    l0, l1, l2, share = _degree_one_derivatives(generator)
+    l0, l1, l2, share = degree_one_derivatives(generator)
     trace = model.trace_vector()
     dim = l0.shape[0]
     bordered = np.zeros((dim + 1, dim + 1), dtype=complex)
@@ -635,7 +636,7 @@ def cumulants_periodic(
         fields = _fields_for(model, selector, x)
         return model.time_harmonics(fields.chi, fields.xi)[1]
 
-    h0, d1, d2, _ = _degree_one_derivatives(harmonics)
+    h0, d1, d2, _ = degree_one_derivatives(harmonics)
     derivs = np.stack((h0, d1, d2))
     passes = []
     for steps in (model.steps, 2 * model.steps):

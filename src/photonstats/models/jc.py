@@ -25,7 +25,6 @@ import numpy as np
 
 from ..charpoly import CharPolyCoeffs, char_poly, fourier_derivatives
 from ..counting import CumulantReport, Method
-from ..superop import Basis
 
 __all__ = [
     "JcParams",
@@ -322,9 +321,6 @@ class JaynesCummingsModel:
 
     n_modes = 2
     n_baths = 1
-    dim = 4
-    basis = Basis.PAULI
-    matrix_dim = 2
 
     def __init__(self, params: JcParams):
         self.params = params

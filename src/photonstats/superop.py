@@ -2,8 +2,8 @@
 
 Provides vectorization of (generalized) density matrices, Lindblad
 superoperator assembly, non-Hermitian spectral decomposition with
-biorthonormal left/right eigenvectors, propagation, and one-period
-(monodromy) propagators for time-periodic generators, with their exact
+biorthonormal left/right eigenvectors, propagation, and the one-period
+(monodromy) propagator of a time-periodic generator together with its exact
 counting-field derivatives from the variational equations.
 
 All matrices are small (D <= ~100) and dense; everything is double
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -37,10 +37,8 @@ __all__ = [
     "spectral_decompose",
     "stationary_state",
     "propagate",
-    "one_period_propagator",
     "step_change",
     "variational_monodromy",
-    "effective_liouvillian",
 ]
 
 
@@ -75,15 +73,20 @@ class DegenerateStationaryStateError(ValueError):
 
 
 class StepConvergenceError(RuntimeError):
-    """Raised when step doubling does not converge for the monodromy integrator."""
+    """Raised when periodic numerics do not converge under refinement.
+
+    The refinement is step doubling of the RK4 monodromy or four more photon
+    blocks in a Floquet (Sambe) generator; ``coarse`` and ``fine`` are the
+    two estimates compared.
+    """
 
     def __init__(self, coarse, fine, rel_change: float, tol: float):
         self.coarse = coarse
         self.fine = fine
         self.rel_change = rel_change
         super().__init__(
-            f"one-period propagator not converged: relative change {rel_change:.3e} "
-            f"between step-doubled estimates exceeds tolerance {tol:.3e}"
+            f"periodic numerics not converged: relative change {rel_change:.3e} "
+            f"between the coarse and refined estimates exceeds tolerance {tol:.3e}"
         )
 
 
@@ -289,32 +292,25 @@ def propagate(
     a: np.ndarray,
     v0: np.ndarray,
     t: float,
-    method: str = "auto",
     defective_threshold: float = 1e12,
 ) -> PropagationResult:
     """Evaluate exp(a t) v0.
 
-    ``method`` is one of "auto", "spectral", "series".  The default tries the
-    spectral route and silently falls back to scaling-and-squaring when the
-    decomposition is ill-conditioned (flagged in the result).
+    The spectral route is tried first; when the decomposition is
+    ill-conditioned the evaluation falls back to scaling-and-squaring, and
+    the result is flagged.
     """
     if t < 0:
         raise ValueError("propagation time must be nonnegative")
     a = np.asarray(a, dtype=complex)
     v0 = np.asarray(v0, dtype=complex)
-    if method not in ("auto", "spectral", "series"):
-        raise ValueError(f"unknown propagation method {method!r}")
-    if method in ("auto", "spectral"):
-        try:
-            dec = spectral_decompose(a, defective_threshold)
-        except DefectiveMatrixError:
-            if method == "spectral":
-                raise
-        else:
-            v = dec.right @ (np.exp(dec.eigenvalues * t) * (dec.left @ v0))
-            return PropagationResult(vector=v, method="spectral")
-    v = la.expm(a * t) @ v0
-    return PropagationResult(vector=v, method="series", fallback=(method == "auto"))
+    try:
+        dec = spectral_decompose(a, defective_threshold)
+    except DefectiveMatrixError:
+        v = la.expm(a * t) @ v0
+        return PropagationResult(vector=v, method="series", fallback=True)
+    v = dec.right @ (np.exp(dec.eigenvalues * t) * (dec.left @ v0))
+    return PropagationResult(vector=v, method="spectral")
 
 
 _CHUNK_STEPS = 64
@@ -337,19 +333,16 @@ def _rk4(nodes: np.ndarray, h: float, y0: np.ndarray) -> np.ndarray:
     return y
 
 
-def _integrate(
-    nodes_at, period: float, steps: int, y0: np.ndarray | None = None
-) -> np.ndarray:
-    """RK4 over one period, building the 2 steps + 1 nodes in chunks.
+def _integrate(nodes_at, period: float, steps: int, y: np.ndarray) -> np.ndarray:
+    """RK4 of ``y`` over one period, building the 2 steps + 1 nodes in chunks.
 
     ``nodes_at(times)`` returns the generator at an array of times, stacked
     along the first axis; each time is requested exactly once.  The nodes of
     ``_CHUNK_STEPS`` steps at a time share one buffer, which bounds memory
-    and keeps it in cache.  The initial state defaults to the identity.
+    and keeps it in cache.
     """
     h = period / steps
     first = nodes_at(np.zeros(1))
-    y = np.eye(first.shape[-1], dtype=complex) if y0 is None else y0
     size = 2 * min(steps, _CHUNK_STEPS) + 1
     nodes = np.empty((size,) + first.shape[1:], dtype=complex)
     nodes[0] = first[0]
@@ -373,34 +366,6 @@ def step_change(coarse: np.ndarray, fine: np.ndarray) -> float:
     """Largest entry change of step-doubled propagators, over max(|fine|, 1)."""
     denom = max(float(np.abs(fine).max()), 1.0)
     return float(np.abs(fine - coarse).max() / denom)
-
-
-def one_period_propagator(
-    l_of_t,
-    period: float,
-    steps: int = 256,
-    check_tol: float | None = 1e-6,
-) -> np.ndarray:
-    """Monodromy matrix U(period) of dU/dt = L(t) U by fixed-step RK4.
-
-    ``l_of_t`` is called once per node: 2 steps + 1 times per pass.  When
-    ``check_tol`` is set, the integration is repeated with doubled step
-    count; the finer estimate is returned and a :class:`StepConvergenceError`
-    carrying both estimates is raised if they disagree beyond tolerance.
-    """
-    _check_steps(period, steps)
-
-    def nodes_at(times):
-        return np.array([l_of_t(t) for t in times], dtype=complex)
-
-    coarse = _integrate(nodes_at, period, steps)
-    if check_tol is None:
-        return coarse
-    fine = _integrate(nodes_at, period, 2 * steps)
-    rel = step_change(coarse, fine)
-    if rel > check_tol:
-        raise StepConvergenceError(coarse, fine, rel, check_tol)
-    return fine
 
 
 def variational_monodromy(
@@ -435,30 +400,3 @@ def variational_monodromy(
     y0[:d] = np.eye(d)
     y = _integrate(nodes_at, period, steps, y0)
     return y[:d], y[d:2 * d], y[2 * d:]
-
-
-@dataclass(frozen=True)
-class EffectiveLiouvillian:
-    """Stroboscopic generator log(U)/period with branch-cut diagnostics."""
-
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    branch_cut_flags: np.ndarray = field(repr=False)
-
-
-def effective_liouvillian(
-    u: np.ndarray, period: float, cut_tol: float = 1e-6
-) -> EffectiveLiouvillian:
-    """Principal-branch matrix logarithm of a one-period propagator, / period.
-
-    Every Floquet exponent satisfies |Im lambda| < pi/period; exponents whose
-    imaginary part lies within ``cut_tol``/period of the branch cut are
-    flagged, since their branch assignment is not trustworthy.
-    """
-    dec = spectral_decompose(np.asarray(u, dtype=complex))
-    logs = np.log(dec.eigenvalues)
-    flags = (np.pi - np.abs(logs.imag)) < cut_tol
-    leff = (dec.right * logs) @ dec.left / period
-    return EffectiveLiouvillian(
-        matrix=leff, eigenvalues=logs / period, branch_cut_flags=flags
-    )

@@ -1,22 +1,26 @@
-"""PeriodicNumeric: cumulants from the variational one-period propagator."""
+"""Periodic lambda model: the variational one-period propagator
+(PeriodicNumeric) and the photon-resolved Floquet (Sambe) generator."""
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 from click.testing import CliRunner
 
 from photonstats.cli import main
 from photonstats.config import ScenarioError, parse_scenario
-from photonstats.counting import Method, cumulants
+from photonstats.counting import (
+    CountingFields,
+    Method,
+    cumulants,
+    degree_one_derivatives,
+    dynamical_mgf,
+)
 from photonstats.models.lambda_system import (
     LambdaModel,
     LambdaParams,
     LambdaPeriodicModel,
 )
-from photonstats.superop import (
-    StepConvergenceError,
-    one_period_propagator,
-    variational_monodromy,
-)
+from photonstats.superop import StepConvergenceError, variational_monodromy
 
 
 def periodic(p, steps=1024, **kw):
@@ -146,41 +150,89 @@ def test_time_harmonics_reproduce_callback():
         assert np.allclose(l_of_t(t), direct, atol=1e-13)
 
 
+def sambe_propagator(model, chi, xi, t):
+    """U(t) = sum_m' [exp(F t)]_{0, m'} from the model's Sambe generator F."""
+    n = 2 * model.cutoff + 1
+    prop = la.expm(model.dressed_liouvillian(chi, xi) * t)
+    return prop.reshape(n, 9, n, 9)[model.cutoff].sum(axis=1)
+
+
 def test_variational_propagator_matches_finite_differences():
+    # the frequency-domain reference: U(T) and its field finite differences
+    # from the Sambe identity; the whole propagator, coherences included,
+    # needs more photon blocks than the flux and noise
     p = LambdaParams(r=1).with_detuning(0.5)
-    model = LambdaPeriodicModel(p)
+    model = LambdaPeriodicModel(p, check_tol=None)
+    model.cutoff = 24
 
     def harmonics(x):
         return model.time_harmonics((0.0, x), (0.0,))[1]
 
     orders = model.time_harmonics((0.0, 0.0), (0.0,))[0]
+    derivs = np.stack(degree_one_derivatives(harmonics)[:3])
+    u, du, d2u = variational_monodromy(orders, derivs, model.period, 512)
     d = 1e-3
-    h0, hp, hm = harmonics(0.0), harmonics(d), harmonics(-d)
-    derivs = np.stack([h0, (hp - hm) / (2 * d), (hp - 2 * h0 + hm) / d**2])
-    u, du, d2u = variational_monodromy(orders, derivs, model.period, 256)
-    assert np.allclose(
-        u, one_period_propagator(model.liouvillian_of_t((0.0, 0.0), (0.0,)),
-                                 model.period, 256, check_tol=None),
-        atol=1e-13,
+    u0, up, um = (
+        sambe_propagator(model, (0.0, x), (0.0,), model.period) for x in (0.0, d, -d)
     )
-    up = one_period_propagator(model.liouvillian_of_t((0.0, d), (0.0,)),
-                               model.period, 256, check_tol=None)
-    um = one_period_propagator(model.liouvillian_of_t((0.0, -d), (0.0,)),
-                               model.period, 256, check_tol=None)
-    assert np.allclose(du, (up - um) / (2 * d), atol=1e-7)
-    assert np.allclose(d2u, (up - 2 * u + um) / d**2, atol=1e-4)
+    assert np.allclose(u, u0, rtol=0.0, atol=1e-8)
+    assert np.allclose(du, (up - um) / (2 * d), rtol=0.0, atol=1e-8)
+    assert np.allclose(d2u, (up - 2 * u0 + um) / d**2, rtol=0.0, atol=1e-7)
 
 
-@pytest.mark.parametrize("check_tol, calls", [(None, 129), (1e-6, 129 + 257)])
-def test_one_period_propagator_calls_back_once_per_node(check_tol, calls):
-    seen = []
+@pytest.mark.parametrize("r", [0, 1, 2])
+@pytest.mark.parametrize("omega_delta", [-2.0, 2.0])
+def test_pseudo_inverse_on_sambe_generator_matches_periodic_numeric(r, omega_delta):
+    p = LambdaParams(r=r).with_detuning(omega_delta)
+    sambe = cumulants(LambdaPeriodicModel(p), 2, method=Method.PSEUDO_INVERSE)
+    rk4 = periodic(p)
+    assert sambe.flux == pytest.approx(rk4.flux, rel=1e-9)
+    assert sambe.noise == pytest.approx(rk4.noise, rel=1e-9)
+    assert not sambe.flagged
 
-    def l_of_t(t):
-        seen.append(t)
-        return np.array([[0.0, np.cos(t)], [-np.cos(t), 0.0]])
 
-    one_period_propagator(l_of_t, 1.0, steps=64, check_tol=check_tol)
-    assert len(seen) == calls
+def rk4_trace(l_of_t, rho0, t, steps):
+    """tr rho(t) of d rho/dt = L(t) rho by fixed-step RK4."""
+    h, y = t / steps, rho0
+    for n in range(steps):
+        s = n * h
+        k1 = l_of_t(s) @ y
+        k2 = l_of_t(s + h / 2) @ (y + h / 2 * k1)
+        k3 = l_of_t(s + h / 2) @ (y + h / 2 * k2)
+        k4 = l_of_t(s + h) @ (y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y[0] + y[4] + y[8]
+
+
+@pytest.mark.parametrize("periods", [3.0, 3.25])
+def test_dynamical_mgf_matches_time_domain_integration(periods):
+    p = LambdaParams(r=2, omega_s=0.3).with_detuning(1.0)
+    model = LambdaPeriodicModel(p)
+    fields = CountingFields((0.4, -0.7), (0.3,))
+    t = periods * model.period
+    mgf = dynamical_mgf(model, fields, model.stationary_vector(), t).value
+    ground = np.zeros(9, dtype=complex)
+    ground[0] = 1.0
+    plus, minus = (
+        rk4_trace(model.liouvillian_of_t(f.chi, f.xi), ground, t, int(1200 * periods))
+        for f in (fields, fields.negated_chi())
+    )
+    assert abs(mgf - (plus + np.conj(minus)) / 2) < 1e-10
+
+
+class TooFewPhotons(LambdaPeriodicModel):
+    def __init__(self, params, **kw):
+        super().__init__(params, **kw)
+        self.cutoff = 3
+
+
+def test_sambe_truncation_check_catches_small_cutoff():
+    p = LambdaParams(r=2).with_detuning(2.0)
+    with pytest.raises(StepConvergenceError) as exc:
+        cumulants(TooFewPhotons(p), 2)
+    assert exc.value.rel_change > 1e-6
+    rep = cumulants(TooFewPhotons(p, check_tol=None), 2)
+    assert rep.flux != pytest.approx(cumulants(LambdaPeriodicModel(p), 2).flux, rel=1e-6)
 
 
 def test_fig4_csv_carries_provenance_and_is_reproducible(tmp_path):

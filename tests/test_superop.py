@@ -10,18 +10,17 @@ from photonstats.superop import (
     PAULI,
     Basis,
     DefectiveMatrixError,
-    StepConvergenceError,
     check_trace_conserving,
     devectorize,
     dissipator_superop,
-    effective_liouvillian,
     hamiltonian_superop,
     lindblad_liouvillian,
-    one_period_propagator,
     propagate,
     spectral_decompose,
     stationary_state,
+    step_change,
     trace_form,
+    variational_monodromy,
     vectorize,
 )
 
@@ -172,40 +171,30 @@ class TestPropagation:
         with pytest.raises(ValueError):
             propagate(np.eye(2), np.ones(2), -1.0)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            propagate(np.eye(2), np.ones(2), 1.0, method="magic")
+
+def monodromy(harmonics, period, steps, orders=(0,)):
+    """U(period) of L(t) = sum_n exp(2 pi i orders[n] t / period) harmonics[n]."""
+    stack = np.asarray(harmonics, dtype=complex)
+    zero = np.zeros_like(stack)
+    return variational_monodromy(orders, np.stack([stack, zero, zero]), period, steps)[0]
 
 
 class TestPeriodic:
     def test_constant_generator(self):
         a = 0.3 * random_matrix(3)
         period = 0.9
-        u = one_period_propagator(lambda t: a, period, steps=128)
+        u = monodromy([a], period, steps=128)
         assert np.allclose(u, la.expm(a * period), atol=1e-9)
 
     def test_step_doubling_detects_coarse_grid(self):
-        w = 300.0
-        l_of_t = lambda t: np.array([[0.0, np.cos(w * t)], [-np.cos(w * t), 0.0]])
-        with pytest.raises(StepConvergenceError):
-            one_period_propagator(l_of_t, 2 * np.pi / 3.0, steps=64, check_tol=1e-10)
+        # L(t) = [[0, cos wt], [-cos wt, 0]] with w = 300 over one period of 3
+        half = 0.5 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        period = 2 * np.pi / 3.0
+        orders = (-100, 100)
+        coarse = monodromy([half, half], period, 64, orders)
+        fine = monodromy([half, half], period, 128, orders)
+        assert step_change(coarse, fine) > 1e-10
 
     def test_min_steps(self):
         with pytest.raises(ValueError):
-            one_period_propagator(lambda t: np.eye(2), 1.0, steps=16)
-
-    def test_effective_liouvillian_inverts_exp(self):
-        a = 0.2 * random_matrix(3)
-        period = 1.3
-        eff = effective_liouvillian(la.expm(a * period), period)
-        assert np.allclose(eff.matrix, a, atol=1e-9)
-        assert not eff.branch_cut_flags.any()
-
-    def test_branch_cut_flagged(self):
-        # eigenvalue exp(i pi) sits exactly on the log branch cut
-        u = np.diag([np.exp(1j * np.pi * 0.9999999), 0.5])
-        eff = effective_liouvillian(u, 1.0)
-        # eigenvalues are sorted by real part, so locate the flagged one
-        assert eff.branch_cut_flags.sum() == 1
-        near_cut = int(np.argmax(np.abs(eff.eigenvalues.imag)))
-        assert eff.branch_cut_flags[near_cut]
+            monodromy([np.eye(2)], 1.0, steps=16)
