@@ -119,11 +119,15 @@ class CountingFields:
 
 @dataclass(frozen=True)
 class MgfValue:
-    """Moment-generating-function sample with its two-branch decomposition."""
+    """Moment-generating-function sample with its two-branch decomposition.
+
+    ``fallback`` is true when either branch was propagated by expm.
+    """
 
     value: complex
     time: float
     decomposition: tuple[complex, complex] | None = None
+    fallback: bool = False
 
 
 @dataclass(frozen=True)
@@ -169,22 +173,20 @@ class ConservationReport:
 
 
 def evolve_generalized(model, fields: CountingFields, rho0_vec, t: float):
-    """Generalized density matrix rho_L(t) (vectorized in the model basis)."""
+    """Generalized density matrix rho_L(t) as a flagged ``PropagationResult``."""
     liouv = model.dressed_liouvillian(fields.chi, fields.xi)
-    return propagate(liouv, np.asarray(rho0_vec, dtype=complex), t).vector
+    return propagate(liouv, np.asarray(rho0_vec, dtype=complex), t)
 
 
 def dynamical_mgf(model, fields: CountingFields, rho0_vec, t: float) -> MgfValue:
     """Two-branch dynamical MGF tr[rho_L(xi,chi)]/2 + conj(tr[rho_L(xi,-chi)])/2."""
     trace = model.trace_vector()
-    left = complex(trace @ evolve_generalized(model, fields, rho0_vec, t)) / 2.0
-    right = (
-        np.conj(
-            complex(trace @ evolve_generalized(model, fields.negated_chi(), rho0_vec, t))
-        )
-        / 2.0
-    )
-    return MgfValue(value=left + right, time=t, decomposition=(left, right))
+    plus = evolve_generalized(model, fields, rho0_vec, t)
+    minus = evolve_generalized(model, fields.negated_chi(), rho0_vec, t)
+    left = complex(trace @ plus.vector) / 2.0
+    right = np.conj(complex(trace @ minus.vector)) / 2.0
+    return MgfValue(value=left + right, time=t, decomposition=(left, right),
+                    fallback=plus.fallback or minus.fallback)
 
 
 def asymptotic_mgf(model, fields: CountingFields, t: float) -> MgfValue:

@@ -225,7 +225,9 @@ def reconstruct(
 
     The total MGF factorizes into the dynamical part (matter-mediated
     exchange, from the dressed generator) and the initial photon statistics
-    of the resolved modes.
+    of the resolved modes.  ``expm_fallbacks`` in the metadata counts the
+    samples, moment samples included, that fell back to expm; it is absent
+    when a ``sampler`` computes the grid.
     """
     modes = tuple(int(m) for m in modes)
     if any(not 1 <= m <= model.n_modes for m in modes):
@@ -233,21 +235,28 @@ def reconstruct(
     if len(set(modes)) != len(modes):
         raise ValueError("duplicate modes")
 
+    fallbacks = 0
+
     def mgf(chi_sel: tuple[float, ...]) -> complex:
+        nonlocal fallbacks
         chi = [0.0] * model.n_modes
         for m, x in zip(modes, chi_sel):
             chi[m - 1] = x
         fields = CountingFields(tuple(chi), (0.0,) * model.n_baths)
-        dyn = dynamical_mgf(model, fields, rho0_vec, t).value
-        return dyn * law.mgf(chi_sel)
+        dyn = dynamical_mgf(model, fields, rho0_vec, t)
+        fallbacks += dyn.fallback
+        return dyn.value * law.mgf(chi_sel)
 
-    return reconstruct_from_mgf(
+    dist = reconstruct_from_mgf(
         mgf,
         len(modes),
         n,
         metadata={"time": t, "model": type(model).__name__, "modes": modes},
         sampler=sampler,
     )
+    if sampler is None:
+        dist.metadata["expm_fallbacks"] = fallbacks
+    return dist
 
 
 def closed_mgf(

@@ -27,6 +27,7 @@ ledger closes: I_1 + I_2 + I_bath = 0.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -127,6 +128,17 @@ class EffectiveCouplings:
     eps_tilde_c: float
 
 
+@functools.lru_cache(maxsize=256)
+def _bessel_factors(p: LambdaParams) -> tuple[float, float, float]:
+    """Pump-sideband factors, computed once per parameter set.
+
+    J_0(Omega_p1 / omega_d) renormalizes the b/c splitting; J_0 and J_r of
+    Omega_p1 / (2 omega_d) renormalize the two signal modes.
+    """
+    arg = p.omega_p1 / (2.0 * p.omega_d)
+    return bessel_j(0, p.omega_p1 / p.omega_d), bessel_j(0, arg), bessel_j(p.r, arg)
+
+
 def _signal_amplitudes(p: LambdaParams, chi: tuple[float, float]) -> tuple[complex, complex]:
     """Bare signal couplings (v_b, v_c) onto |b><a| and |c><a|.
 
@@ -134,9 +146,7 @@ def _signal_amplitudes(p: LambdaParams, chi: tuple[float, float]) -> tuple[compl
     Omega_p1 / (2 omega_d); for even r both signal modes address |c>, for
     odd r the second mode addresses |b> instead.
     """
-    arg = p.omega_p1 / (2.0 * p.omega_d)
-    j0 = bessel_j(0, arg)
-    jr = bessel_j(p.r, arg)
+    _, j0, jr = _bessel_factors(p)
     e1 = p.omega_s * j0 * np.exp(1j * (p.phi1 + chi[0]))
     e2 = p.omega_s * jr * np.exp(1j * (p.phi2 + chi[1]))
     if p.r % 2 == 0:
@@ -156,9 +166,7 @@ def effective_couplings(
     eps_tilde = ave -/+ sqrt(delta^2 + Omega_p0^2).
     """
     ave = 0.5 * (p.eps_b_delta + p.eps_c_delta)
-    delta = 0.5 * bessel_j(0, p.omega_p1 / p.omega_d) * (
-        p.eps_b_delta - p.eps_c_delta
-    )
+    delta = 0.5 * _bessel_factors(p)[0] * (p.eps_b_delta - p.eps_c_delta)
     split = math.hypot(delta, p.omega_p0)
     theta = math.atan2(p.omega_p0, delta)
     vb, vc = _signal_amplitudes(p, chi)
@@ -177,9 +185,7 @@ def effective_couplings(
 def _h_static(p: LambdaParams) -> np.ndarray:
     """Signal-free part of the RWA Hamiltonian in the (a, b, c) basis."""
     ave = 0.5 * (p.eps_b_delta + p.eps_c_delta)
-    delta = 0.5 * bessel_j(0, p.omega_p1 / p.omega_d) * (
-        p.eps_b_delta - p.eps_c_delta
-    )
+    delta = 0.5 * _bessel_factors(p)[0] * (p.eps_b_delta - p.eps_c_delta)
     h = np.zeros((3, 3), dtype=complex)
     h[_A, _A] = p.eps_a
     h[_B, _B] = ave + delta
@@ -209,7 +215,12 @@ def _dissipators(p: LambdaParams, xi: float) -> np.ndarray:
 
 
 class LambdaModel:
-    """Counting-engine adapter for the RWA effective generator (9x9)."""
+    """Counting-engine adapter for the RWA effective generator (9x9).
+
+    The field-free parts (the static Hamiltonian superoperator, the
+    signal-free generator at xi = 0 and the zero-field right signal
+    Hamiltonian) are built once per instance and are read-only.
+    """
 
     n_modes = 2
     n_baths = 1
@@ -221,6 +232,12 @@ class LambdaModel:
                 "use the periodic-frame model or pass require_rwa=False"
             )
         self.params = params
+        h0 = _h_static(params)
+        self._h_static_superop = hamiltonian_superop(h0, h0)
+        self._l0 = self._h_static_superop + _dissipators(params, 0.0)
+        self._h_signal_0 = _h_signal(params, (0.0, 0.0))
+        for part in (self._h_static_superop, self._l0, self._h_signal_0):
+            part.setflags(write=False)
 
     def tagged_terms(
         self, chi: tuple[float, float], xi: float
@@ -231,9 +248,8 @@ class LambdaModel:
         linear in the signal amplitude Omega_s.
         """
         p = self.params
-        h0 = _h_static(p)
-        l0 = hamiltonian_superop(h0, h0) + _dissipators(p, xi)
-        l1 = hamiltonian_superop(_h_signal(p, chi), _h_signal(p, (0.0, 0.0)))
+        l0 = self._l0 if xi == 0.0 else self._h_static_superop + _dissipators(p, xi)
+        l1 = hamiltonian_superop(_h_signal(p, chi), self._h_signal_0)
         return [(0, l0), (1, l1)]
 
     def dressed_liouvillian(self, chi, xi) -> np.ndarray:

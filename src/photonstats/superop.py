@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 __all__ = [
     "Basis",
@@ -140,6 +139,16 @@ def trace_form(dim: int, basis: Basis = Basis.ELEMENT) -> np.ndarray:
     return np.eye(dim, dtype=complex).reshape(-1)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of square matrices by one broadcast multiply.
+
+    It forms the same products as numpy's ``kron``, so the result is
+    bit-identical, without that function's per-call overhead.
+    """
+    d = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d, d)
+
+
 def hamiltonian_superop(h_left: np.ndarray, h_right: np.ndarray | None = None) -> np.ndarray:
     """Coherent part -i(H_L rho) + i(rho H_R) as a matrix on row-major vec(rho).
 
@@ -150,9 +159,8 @@ def hamiltonian_superop(h_left: np.ndarray, h_right: np.ndarray | None = None) -
     if h_right is None:
         h_right = h_left
     h_right = np.asarray(h_right, dtype=complex)
-    d = h_left.shape[0]
-    eye = np.eye(d, dtype=complex)
-    return -1.0j * np.kron(h_left, eye) + 1.0j * np.kron(eye, h_right.T)
+    eye = np.eye(h_left.shape[0], dtype=complex)
+    return -1.0j * _kron(h_left, eye) + 1.0j * _kron(eye, h_right.T)
 
 
 def dissipator_superop(c: np.ndarray, rate: float = 1.0, xi: float = 0.0) -> np.ndarray:
@@ -162,11 +170,10 @@ def dissipator_superop(c: np.ndarray, rate: float = 1.0, xi: float = 0.0) -> np.
     acting on row-major vec(rho).  At xi=0 this is the standard dissipator.
     """
     c = np.asarray(c, dtype=complex)
-    d = c.shape[0]
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(c.shape[0], dtype=complex)
     cdc = c.conj().T @ c
-    jump = np.exp(-1.0j * xi) * np.kron(c, c.conj())
-    anti = 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    jump = np.exp(-1.0j * xi) * _kron(c, c.conj())
+    anti = 0.5 * (_kron(cdc, eye) + _kron(eye, cdc.T))
     return rate * (jump - anti)
 
 
@@ -232,8 +239,9 @@ def spectral_decompose(
     Raises :class:`DefectiveMatrixError` when the right-eigenvector matrix
     condition number exceeds ``defective_threshold``.
     """
+    import scipy.linalg  # imported here so that importing the package skips scipy
     a = np.asarray(a, dtype=complex)
-    evals, right = la.eig(a)
+    evals, right = scipy.linalg.eig(a)
     order = np.lexsort((-evals.imag, -evals.real))
     evals = evals[order]
     right = right[:, order]
@@ -307,7 +315,8 @@ def propagate(
     try:
         dec = spectral_decompose(a, defective_threshold)
     except DefectiveMatrixError:
-        v = la.expm(a * t) @ v0
+        import scipy.linalg
+        v = scipy.linalg.expm(a * t) @ v0
         return PropagationResult(vector=v, method="series", fallback=True)
     v = dec.right @ (np.exp(dec.eigenvalues * t) * (dec.left @ v0))
     return PropagationResult(vector=v, method="spectral")

@@ -178,6 +178,7 @@ class TestDistributionCommand:
         assert total == pytest.approx(1.0, abs=1e-6)
         meta = json.loads((out / "distribution.csv.json").read_text())
         assert meta["n"] == 1024
+        assert meta["expm_fallbacks"] == 0
 
 
 class TestConserveCommand:

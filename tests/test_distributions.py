@@ -128,6 +128,51 @@ class TestReconstructDynamical:
         )
 
 
+class NilpotentModel:
+    """One counted mode whose generator is nilpotent at every field.
+
+    Its eigenvectors are parallel, so every propagation leaves the spectral
+    route for the expm fallback; L rho0 = 0 makes the dynamical MGF 1.
+    """
+
+    n_modes = 1
+    n_baths = 1
+
+    def __init__(self):
+        self.generators = 0
+
+    def dressed_liouvillian(self, chi, xi):
+        self.generators += 1
+        return np.array([[0.0, np.exp(1j * chi[0])], [0.0, 0.0]])
+
+    def trace_vector(self):
+        return np.array([1.0, 0.0], dtype=complex)
+
+    def stationary_vector(self):
+        return np.array([1.0, 0.0], dtype=complex)
+
+
+class TestExpmFallbacks:
+    def test_every_fallen_back_sample_is_counted(self):
+        model = NilpotentModel()
+        law = GaussianLaw((40.0,), (9.0,))
+        dist = reconstruct(model, model.stationary_vector(), law, 2.0, (1,), 128)
+        ref = reconstruct_from_mgf(law.mgf, 1, 128)
+        assert np.array_equal(dist.offsets[0], ref.offsets[0])
+        assert np.abs(dist.probabilities - ref.probabilities).max() < 1e-15
+        # two propagations per sample; moment samples come on top of the grid
+        assert dist.metadata["expm_fallbacks"] == model.generators // 2 > 128
+
+    def test_count_is_absent_with_a_sampler(self):
+        model = NilpotentModel()
+        law = GaussianLaw((40.0,), (9.0,))
+        dist = reconstruct(
+            model, model.stationary_vector(), law, 2.0, (1,), 128,
+            sampler=lambda grid: np.array([law.mgf((x,)) for x in grid]),
+        )
+        assert "expm_fallbacks" not in dist.metadata
+
+
 class TestClosedMgf:
     P = JcParams(eps_delta=0.0, omega1=1.0, omega2=1.0, phi2=math.pi / 2, gamma=0.0)
 

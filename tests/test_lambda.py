@@ -18,10 +18,15 @@ from photonstats.models.lambda_system import (
     LambdaModel,
     LambdaParams,
     LambdaPeriodicModel,
+    _bessel_factors,
+    _dissipators,
+    _h_signal,
+    _h_static,
     effective_couplings,
     lambda_lambda0_pt2,
 )
 from photonstats.perturbation import SubspacePartition, adiabatic_eliminate
+from photonstats.superop import hamiltonian_superop
 
 BASE = LambdaParams()  # resonant pump, r = 1
 
@@ -101,6 +106,42 @@ class TestGenerator:
         with pytest.raises(ValueError):
             LambdaModel(bad, require_rwa=True)
         LambdaModel(bad)  # advisory only by default
+
+
+class TestFieldFreeParts:
+    """The field-free parts that ``LambdaModel`` builds once per instance."""
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_generator_matches_a_fresh_build(self, r):
+        p = LambdaParams(r=r)
+        model = LambdaModel(p)
+        rng = np.random.default_rng(40 + r)
+        samples = [
+            ((float(a), float(b)), float(x))
+            for a, b, x in rng.uniform(-math.pi, math.pi, size=(50, 3))
+        ]
+        samples += [(chi, 0.0) for chi, _ in samples[:10]]
+        rng.shuffle(samples)
+        for chi, xi in samples:
+            cached = model.dressed_liouvillian(chi, (xi,))
+            _bessel_factors.cache_clear()
+            h0 = _h_static(p)
+            fresh = (
+                hamiltonian_superop(h0, h0)
+                + _dissipators(p, xi)
+                + hamiltonian_superop(_h_signal(p, chi), _h_signal(p, (0.0, 0.0)))
+            )
+            assert np.array_equal(cached, fresh)
+
+    def test_writing_into_a_returned_term_leaves_the_generator_unchanged(self):
+        model = LambdaModel(BASE)
+        before = model.dressed_liouvillian((0.1, 0.2), (0.0,))
+        for _, term in model.tagged_terms((0.3, -0.4), 0.0):
+            try:
+                term += 1.0
+            except ValueError:
+                pass
+        assert np.array_equal(model.dressed_liouvillian((0.1, 0.2), (0.0,)), before)
 
 
 class TestClosedFormEigenvalue:

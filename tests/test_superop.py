@@ -111,6 +111,18 @@ class TestSuperops:
         jump = np.kron(c, c.conj())
         assert np.allclose(dressed - plain, (np.exp(-1j * xi) - 1.0) * jump)
 
+    @pytest.mark.parametrize("d", [2, 3, 9])
+    def test_builders_match_kron_formulas_bit_for_bit(self, d):
+        hl, hr, c = random_matrix(d), random_matrix(d), random_matrix(d)
+        eye = np.eye(d, dtype=complex)
+        ham = -1.0j * np.kron(hl, eye) + 1.0j * np.kron(eye, hr.T)
+        assert np.array_equal(hamiltonian_superop(hl, hr), ham)
+        cdc = c.conj().T @ c
+        for xi in (0.0, 0.37, -2.1):
+            jump = np.exp(-1.0j * xi) * np.kron(c, c.conj())
+            anti = 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+            assert np.array_equal(dissipator_superop(c, 0.7, xi), 0.7 * (jump - anti))
+
     def test_lindblad_trace_conserving(self):
         h = random_matrix(3)
         h = h + h.conj().T
