@@ -557,6 +557,30 @@ def degree_one_derivatives(
     return samples[0], d1, d2, share
 
 
+def _pseudo_inverse_rates(l0, trace, derivatives) -> tuple[list[tuple[float, float]], float]:
+    """(flux, noise) per (L', L'') pair and eps * cond_1(B), from one bordered inverse."""
+    dim = l0.shape[0]
+    bordered = np.zeros((dim + 1, dim + 1), dtype=complex)
+    bordered[:dim, :dim] = l0
+    bordered[:dim, dim] = np.conj(trace)
+    bordered[dim, :dim] = trace
+    try:
+        inverse = np.linalg.inv(bordered)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateRootError(
+            "the bordered generator is singular: the stationary state is not unique"
+        ) from exc
+    r = inverse[:dim, dim]
+    rates = []
+    for l1, l2 in derivatives:
+        lam1 = trace @ l1 @ r
+        x = inverse[:dim, :dim] @ (l1 @ r - lam1 * r)
+        lam2 = trace @ l2 @ r - 2.0 * (trace @ l1 @ x)
+        rates.append((float((1j * lam1).real), float((-lam2).real)))
+    cond = np.abs(bordered).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()
+    return rates, float(np.finfo(float).eps * cond)
+
+
 def cumulants_pseudo_inverse(
     model, selector: Selector, order: int = 2, h: float | None = None
 ) -> CumulantReport:
@@ -584,27 +608,12 @@ def cumulants_pseudo_inverse(
 
     l0, l1, l2, share = degree_one_derivatives(generator)
     trace = model.trace_vector()
-    dim = l0.shape[0]
-    bordered = np.zeros((dim + 1, dim + 1), dtype=complex)
-    bordered[:dim, :dim] = l0
-    bordered[:dim, dim] = np.conj(trace)
-    bordered[dim, :dim] = trace
-    try:
-        inverse = np.linalg.inv(bordered)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateRootError(
-            "the bordered generator is singular: the stationary state is not unique"
-        ) from exc
-    r = inverse[:dim, dim]
-    lam1 = trace @ l1 @ r
-    x = inverse[:dim, :dim] @ (l1 @ r - lam1 * r)
-    lam2 = trace @ l2 @ r - 2.0 * (trace @ l1 @ x)
-    cond = np.abs(bordered).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()
-    err = max(share, float(np.finfo(float).eps * cond))
+    [(flux, noise)], cond_error = _pseudo_inverse_rates(l0, trace, [(l1, l2)])
+    err = max(share, cond_error)
     return CumulantReport(
         mode=selector,
-        flux=float((1j * lam1).real),
-        noise=float((-lam2).real),
+        flux=flux,
+        noise=noise,
         method=Method.PSEUDO_INVERSE,
         h=0.0,
         stencil_error=err,

@@ -219,8 +219,7 @@ def test_figure_commands_refuse_bad_configurations(runner, tmp_path, command, do
     "command, doc, name",
     [
         ("scan", SCAN_DOC, "scan_eps_delta.csv"),
-        ("fig4", LAMBDA_MODEL + DETUNING_SWEEP + "numerics:\n  steps: 256\n",
-         "fig4.csv"),
+        ("fig4", LAMBDA_MODEL + DETUNING_SWEEP, "fig4.csv"),
     ],
 )
 def test_worker_processes_write_the_same_bytes(runner, tmp_path, command, doc, name):

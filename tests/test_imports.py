@@ -1,4 +1,5 @@
-"""Importing the package and running the default cumulant route load no scipy."""
+"""Importing the package, running the default cumulant route (on the periodic
+model's Sambe generator too) and the analytic oracle load no scipy."""
 
 import os
 import subprocess
@@ -10,12 +11,14 @@ SCRIPT = """
 import sys
 
 import photonstats.cli
-from photonstats.counting import cumulants
+from photonstats.counting import Method, cumulants
 from photonstats.models.jc import JaynesCummingsModel, JcParams
-from photonstats.models.lambda_system import LambdaModel, LambdaParams
+from photonstats.models.lambda_system import LambdaModel, LambdaParams, LambdaPeriodicModel
 
 cumulants(JaynesCummingsModel(JcParams()), 1)
 cumulants(LambdaModel(LambdaParams()), 2)
+cumulants(LambdaPeriodicModel(LambdaParams()), 2, method=Method.PSEUDO_INVERSE)
+cumulants(LambdaModel(LambdaParams()), 2, method=Method.ANALYTIC_ORACLE)
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
 """
 

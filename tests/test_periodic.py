@@ -1,11 +1,16 @@
 """Periodic lambda model: the variational one-period propagator
 (PeriodicNumeric) and the photon-resolved Floquet (Sambe) generator."""
 
+import csv
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 from click.testing import CliRunner
 
+from photonstats import cli, counting, superop
 from photonstats.cli import main
 from photonstats.config import ScenarioError, parse_scenario
 from photonstats.counting import (
@@ -220,6 +225,51 @@ def test_dynamical_mgf_matches_time_domain_integration(periods):
     assert abs(mgf - (plus + np.conj(minus)) / 2) < 1e-10
 
 
+SIX_POINTS = [(r, w) for r in (0, 1, 2) for w in (-2.0, 2.0)]
+
+
+@pytest.mark.parametrize("r, omega_delta", SIX_POINTS)
+def test_truncation_check_matches_the_route_at_both_cutoffs(r, omega_delta):
+    # the check's harmonic-placed F' and F'' against the route's dense samples
+    model = LambdaPeriodicModel(LambdaParams(r=r).with_detuning(omega_delta))
+    assert model.truncation_change < 1e-6
+    coarse, fine = model._truncation[1:3]
+    for rows, extra in ((coarse, 0), (fine, 4)):
+        plain = LambdaPeriodicModel(model.params, check_tol=None)
+        plain.cutoff += extra
+        for mode, (flux, noise) in zip((1, 2), rows):
+            rep = cumulants(plain, mode, method=Method.PSEUDO_INVERSE)
+            assert flux == pytest.approx(rep.flux, rel=1e-12, abs=0.0)
+            assert noise == pytest.approx(rep.noise, rel=1e-12, abs=0.0)
+
+
+def test_fig4_numeric_columns_match_rk4_without_running_it(tmp_path, monkeypatch):
+    refs = {(r, w): periodic(LambdaParams(r=r).with_detuning(w)) for r, w in SIX_POINTS}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fig4 ran the RK4 monodromy")
+
+    monkeypatch.setattr(superop, "variational_monodromy", refuse)
+    monkeypatch.setattr(counting, "variational_monodromy", refuse)
+    cfg = tmp_path / "fig4.yaml"
+    cfg.write_text(
+        "model:\n  kind: lambda\nmode: 2\n"
+        "sweep:\n  variable: omega_delta\n  start: -2.0\n  stop: 2.0\n"
+        "  points: 2\n  repeat_param: r\n  repeat_values: [0, 1, 2]\n"
+    )
+    out = tmp_path / "fig4.csv"
+    result = CliRunner().invoke(
+        main, ["fig4", "--config", str(cfg), "--out", str(out), "--threads", "1"]
+    )
+    assert result.exit_code == 0, result.output
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == len(refs)
+    for row in rows:
+        ref = refs[(int(row["r"]), float(row["omega_delta"]))]
+        for column, value in (("I_2", ref.flux), ("sigma2_2", ref.noise), ("snr_2", ref.snr)):
+            assert float(row[column + "_numeric"]) == pytest.approx(value, rel=1e-9)
+
+
 class TooFewPhotons(LambdaPeriodicModel):
     def __init__(self, params, **kw):
         super().__init__(params, **kw)
@@ -241,7 +291,6 @@ def test_fig4_csv_carries_provenance_and_is_reproducible(tmp_path):
         "model:\n  kind: lambda\nmode: 2\n"
         "sweep:\n  variable: omega_delta\n  start: -2.0\n  stop: 2.0\n"
         "  points: 2\n  repeat_param: r\n  repeat_values: [2]\n"
-        "numerics:\n  steps: 256\n"
     )
     outputs = []
     for name in ("a.csv", "b.csv"):
@@ -266,3 +315,18 @@ def test_fig4_csv_carries_provenance_and_is_reproducible(tmp_path):
         cells = row.split(",")
         assert cells[8] == ""
         assert float(cells[11]) < 1e-6 and cells[12] == "0"
+
+
+def test_fig4_flags_a_small_cutoff_that_the_check_lets_through(monkeypatch):
+    class Tolerant(TooFewPhotons):
+        def __init__(self, params):
+            super().__init__(params, check_tol=math.inf)
+
+    monkeypatch.setattr(cli, "LambdaPeriodicModel", Tolerant)
+    scenario = replace(
+        parse_scenario("model:\n  kind: lambda\n"),
+        model_params=LambdaParams(r=2).with_detuning(2.0),
+    )
+    row = cli._fig4_point(scenario)
+    assert row[6] == ""
+    assert row[9] > 1e-6 and row[10] == 1
