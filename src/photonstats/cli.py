@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from importlib import resources
 
@@ -81,6 +80,9 @@ def build_model(scenario: Scenario):
 def _map_points(fn, payloads: list, threads: int) -> list:
     """``fn`` over ``payloads`` in order, in worker processes when threads > 1."""
     if threads > 1:
+        # imported here: multiprocessing costs every single-process run its start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(payloads) // (16 * threads))
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, payloads, chunksize=chunk))

@@ -8,7 +8,8 @@ pseudo-inverse of the generator.  Optional model
 hooks serve the other routes: ``tagged_terms(chi, xi)`` PerturbationTheory,
 ``time_harmonics(chi, xi)`` PeriodicNumeric (which differentiates the slow
 Floquet multiplier exactly) and ``oracle_cumulants(selector)``
-AnalyticOracle.  The engine imports no model.
+AnalyticOracle; ``pseudo_inverse_rates(selector)`` lets a structured
+model serve PseudoInverse.  The engine imports no model.
 """
 
 from __future__ import annotations
@@ -598,18 +599,23 @@ def cumulants_pseudo_inverse(
     and eps * cond_1(B), with cond_1(B) exact from the inverse.  (Numpy's
     inverse rather than scipy's LU factor and condition estimate: the latter
     load further LAPACK code and raise a sweep's peak memory by 1 MiB.)
+    A model with structure the dense inverse ignores serves the route
+    itself through ``pseudo_inverse_rates(selector)``, which returns
+    (flux, noise, error estimate).
     """
     _check_order(order)
     _refuse_step(Method.PSEUDO_INVERSE, h)
+    if hasattr(model, "pseudo_inverse_rates"):
+        flux, noise, err = model.pseudo_inverse_rates(selector)
+    else:
+        def generator(x: float) -> np.ndarray:
+            fields = _fields_for(model, selector, x)
+            return model.dressed_liouvillian(fields.chi, fields.xi)
 
-    def generator(x: float) -> np.ndarray:
-        fields = _fields_for(model, selector, x)
-        return model.dressed_liouvillian(fields.chi, fields.xi)
-
-    l0, l1, l2, share = degree_one_derivatives(generator)
-    trace = model.trace_vector()
-    [(flux, noise)], cond_error = _pseudo_inverse_rates(l0, trace, [(l1, l2)])
-    err = max(share, cond_error)
+        l0, l1, l2, share = degree_one_derivatives(generator)
+        trace = model.trace_vector()
+        [(flux, noise)], cond_error = _pseudo_inverse_rates(l0, trace, [(l1, l2)])
+        err = max(share, cond_error)
     return CumulantReport(
         mode=selector,
         flux=flux,

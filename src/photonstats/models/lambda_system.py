@@ -26,7 +26,6 @@ ledger closes: I_1 + I_2 + I_bath = 0.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -34,14 +33,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..bessel import bessel_j
-from ..counting import (
-    CumulantReport,
-    Method,
-    _fields_for,
-    _pseudo_inverse_rates,
-    degree_one_derivatives,
+from ..charpoly import DegenerateRootError
+from ..counting import CumulantReport, Method, _fields_for, degree_one_derivatives
+from ..superop import (
+    BlockTridiagonalLU,
+    StepConvergenceError,
+    dissipator_superop,
+    hamiltonian_superop,
 )
-from ..superop import StepConvergenceError, dissipator_superop, hamiltonian_superop
 
 __all__ = [
     "LambdaParams",
@@ -53,6 +52,7 @@ __all__ = [
 ]
 
 _A, _B, _C = 0, 1, 2
+_TRACE = np.array([0, 4, 8])  # the diagonal of a row-major vectorized 3x3 matrix
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,7 @@ def _harmonic_cutoff(p: LambdaParams) -> int:
     return p.r + 6 + math.ceil(1.5 * abs(p.omega_p1) / p.omega_d)
 
 
-def _sambe(orders, mats, cutoff: int, omega_d: float = 0.0) -> np.ndarray:
+def _sambe(orders, mats, cutoff: int, omega_d: float) -> np.ndarray:
     """Block m - m' = orders[k] is mats[k], less i m omega_d on the diagonal; |m| <= cutoff."""
     n, d = 2 * cutoff + 1, mats.shape[-1]
     sambe = np.zeros((n, d, n, d), dtype=complex)
@@ -319,6 +319,109 @@ def _sambe(orders, mats, cutoff: int, omega_d: float = 0.0) -> np.ndarray:
     photons = np.arange(-cutoff, cutoff + 1)
     sambe[np.diag_indices(n * d)] -= 1j * omega_d * np.repeat(photons, d)
     return sambe
+
+
+def _sambe_blocks(orders, mats, cutoff: int, omega_d: float, group: int):
+    """The Sambe generator as (lower, diag, upper) blocks of ``group`` photons.
+
+    With ``group`` at least the largest harmonic order, block rows g couple
+    to g - 1, g and g + 1 only.  Each block has shape (group d, group d);
+    the last group is padded with identity blocks that couple to nothing.
+    """
+    n, d = 2 * cutoff + 1, mats.shape[-1]
+    groups = -(-n // group)
+    local = np.arange(group)
+    blocks = np.zeros((3, group, d, group, d), dtype=complex)
+    for slot, offset in enumerate((group, 0, -group)):  # m - m' of A[g, g-1], A[g, g], A[g, g+1]
+        for order, mat in zip(orders, mats):
+            i, j = np.nonzero(local[:, None] - local[None, :] + offset == order)
+            blocks[slot, i, :, j] = mat
+    blocks = np.repeat(blocks[:, None], groups, axis=1)
+    photons = np.arange(groups * group).reshape(groups, group)
+    live = photons < n
+    blocks *= live[None, :, :, None, None, None]
+    blocks[1] *= live[:, None, None, :, None]
+    blocks[2, :-1] *= live[1:, None, None, :, None]
+    blocks[0, 0] = blocks[2, -1] = 0.0
+    lower, diag, upper = blocks.reshape(3, groups, group * d, group * d)
+    shift = np.where(live, -1j * omega_d * (photons - cutoff), 1.0)
+    diag[:, np.arange(group * d), np.arange(group * d)] += np.repeat(shift, d, axis=1)
+    return lower, diag, upper
+
+
+def _band_apply(orders, mats, v: np.ndarray, n: int) -> np.ndarray:
+    """Sambe matrix of ``mats`` (no diagonal shift) times v of shape (photons, d, k)."""
+    out = np.zeros_like(v)
+    for order, mat in zip(orders, mats):
+        lo, hi = max(order, 0), min(n + order, n)
+        out[lo:hi] += mat @ v[lo - order:hi - order]
+    return out
+
+
+class _ShiftedSambe:
+    """A = F(0) + u t at one cutoff, factored once.
+
+    t is the trace in block m = 0 and u the unit vector on |a><a| there, so
+    t u = 1.  Since t F(0) = 0, s = A^{-1} u is the stationary state, with
+    t s = 1, and for t y = 0 the solution x = A^{-1} y has t x = 0 and
+    F(0) x = y: the two solves that a bordered inverse of F(0) provides.
+    The shift enters the |a><a| row only, which t F(0) = 0 makes redundant
+    in F(0); a shift by conj(t) t would also enter the |b><b| and |c><c|
+    rows and cost the small excited populations of s, and with them the
+    bath flux, about 1e-11 relative.  A is block tridiagonal in groups of
+    max(1, r) photons, so its block LU costs a few small inverses per group.
+    """
+
+    def __init__(self, orders, l0: np.ndarray, cutoff: int, omega_d: float):
+        self.orders, self.cutoff = orders, cutoff
+        group = max(1, int(np.abs(orders).max()))
+        self.dim = l0.shape[-1]
+        lower, diag, upper = _sambe_blocks(orders, l0, cutoff, omega_d, group)
+        g0, rows = cutoff // group, (cutoff % group) * self.dim + _TRACE
+        diag[g0, rows[0], rows] += 1.0
+        try:
+            self.lu = BlockTridiagonalLU(lower, diag, upper)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateRootError(
+                "the shifted Sambe generator is singular: the stationary state "
+                "is not unique"
+            ) from exc
+        unit = np.zeros(diag.shape[:2] + (1,), dtype=complex)
+        unit[g0, rows[0]] = 1.0
+        self.stationary = self.lu.solve(unit)
+        self.stationary_residual = self.lu.residual(self.stationary, unit)
+
+    def _photons(self, v: np.ndarray) -> np.ndarray:
+        return v.reshape(-1, self.dim, v.shape[-1])
+
+    def _trace(self, v: np.ndarray) -> complex:
+        """t v for v of shape (photons, d, 1)."""
+        return v[self.cutoff, _TRACE, 0].sum()
+
+    @functools.cached_property
+    def cond_error(self) -> float:
+        """eps times the 1-norm condition estimate of A."""
+        return float(np.finfo(float).eps * self.lu.cond1())
+
+    def rates(self, derivatives) -> tuple[list[tuple[float, float]], float]:
+        """(flux, noise) per (L', L'') pair of harmonic stacks, and the
+        largest relative residual of the solves."""
+        n = 2 * self.cutoff + 1
+        s = self._photons(self.stationary)
+        drifts, lam1 = [], []
+        for d1, _ in derivatives:
+            f1s = _band_apply(self.orders, d1, s, n)
+            lam1.append(self._trace(f1s))
+            drifts.append(f1s - lam1[-1] * s)
+        rhs = np.concatenate(drifts, axis=-1).reshape(self.stationary.shape[:2] + (-1,))
+        x = self.lu.solve(rhs)
+        xs = self._photons(x)
+        rates = []
+        for k, (d1, d2) in enumerate(derivatives):
+            lam2 = (self._trace(_band_apply(self.orders, d2, s, n))
+                    - 2.0 * self._trace(_band_apply(self.orders, d1, xs[..., k:k + 1], n)))
+            rates.append((float((1j * lam1[k]).real), float((-lam2).real)))
+        return rates, max(self.stationary_residual, self.lu.residual(x, rhs))
 
 
 class LambdaPeriodicModel:
@@ -338,6 +441,8 @@ class LambdaPeriodicModel:
     instance: when four more blocks change the flux or noise of either drive
     mode by more than ``check_tol`` (relative; ``truncation_change``), the
     generator raises :class:`~photonstats.superop.StepConvergenceError`.
+    The check and the PseudoInverse route (``pseudo_inverse_rates``) share
+    one block LU of the shifted generator per cutoff.
     That covers flux, noise and MGFs from |a><a|-type states, not the
     coherence columns of U(T) (5.6e-6 off at r = 1, omega_Delta = 0.5,
     M = 10).  ``steps`` is the number of RK4 steps per drive period of the
@@ -357,6 +462,7 @@ class LambdaPeriodicModel:
         self.check_tol = check_tol
         self.cutoff = _harmonic_cutoff(params)
         self._truncation = None
+        self._shifted: dict[int, _ShiftedSambe] = {}
 
     @property
     def period(self) -> float:
@@ -408,7 +514,8 @@ class LambdaPeriodicModel:
                 hamiltonian_superop(np.conj(amp2) * raise_, np.conj(amp2_0) * raise_),
             ),
         )
-        orders = np.unique([n for n, _ in terms])
+        # sorted() rather than np.unique, which imports numpy.ma on first use
+        orders = np.array(sorted({n for n, _ in terms}))
         mats = np.zeros((orders.size, 9, 9), dtype=complex)
         for n, m in terms:
             mats[np.searchsorted(orders, n)] += m
@@ -424,40 +531,63 @@ class LambdaPeriodicModel:
 
         return l_of_t
 
-    def dressed_liouvillian(self, chi, xi) -> np.ndarray:
+    def _check_cutoff(self) -> None:
         if self.check_tol is not None and self.truncation_change > self.check_tol:
             raise StepConvergenceError(*self._truncation[1:], self.check_tol)
+
+    def dressed_liouvillian(self, chi, xi) -> np.ndarray:
+        self._check_cutoff()
         orders, mats = self.time_harmonics(chi, xi)
         return _sambe(orders, mats, self.cutoff, self.params.omega_d)
+
+    def _field_derivatives(self, selector):
+        """Harmonics at zero field and their exact field derivatives, and the Nyquist share."""
+        def harmonics(x: float) -> np.ndarray:
+            fields = _fields_for(self, selector, x)
+            return self.time_harmonics(fields.chi, fields.xi)[1]
+
+        return degree_one_derivatives(harmonics)
+
+    def _shifted_sambe(self, cutoff: int) -> _ShiftedSambe:
+        """The factored shifted generator at ``cutoff``, built once per cutoff."""
+        if cutoff not in self._shifted:
+            orders, l0 = self.time_harmonics((0.0, 0.0), (0.0,))
+            self._shifted[cutoff] = _ShiftedSambe(orders, l0, cutoff, self.params.omega_d)
+        return self._shifted[cutoff]
+
+    def pseudo_inverse_rates(self, selector) -> tuple[float, float, float]:
+        """PseudoInverse hook: flux, noise and error estimate of ``selector``.
+
+        The route reuses the factorization of the cutoff check at
+        ``cutoff``; F' and F'' act as banded products of the harmonics'
+        field derivatives.  The error estimate is the largest of the
+        Nyquist share, eps times the 1-norm condition estimate of the
+        shifted generator and the relative residual of the solves (the
+        block LU does not pivot across blocks).
+        """
+        self._check_cutoff()
+        _, d1, d2, share = self._field_derivatives(selector)
+        shifted = self._shifted_sambe(self.cutoff)
+        [(flux, noise)], residual = shifted.rates([(d1, d2)])
+        return flux, noise, max(share, shifted.cond_error, residual)
 
     @property
     def truncation_change(self) -> float:
         """Largest relative change of drive-mode flux or noise from
         ``cutoff`` to ``cutoff + 4``, computed once per cutoff."""
         if self._truncation is None or self._truncation[0] != self.cutoff:
-            def harmonics(mode: int, x: float) -> np.ndarray:
-                fields = _fields_for(self, mode, x)
-                return self.time_harmonics(fields.chi, fields.xi)[1]
-
-            orders = self.time_harmonics((0.0, 0.0), (0.0,))[0]
-            derivs = [degree_one_derivatives(functools.partial(harmonics, mode))[:3]
-                      for mode in (1, 2)]
-            estimates = []
-            for extra in (0, 4):
-                model = copy.copy(self)
-                model.cutoff += extra
-                l0 = _sambe(orders, derivs[0][0], model.cutoff, self.params.omega_d)
-                pairs = [(_sambe(orders, d1, model.cutoff), _sambe(orders, d2, model.cutoff))
-                         for _, d1, d2 in derivs]
-                estimates.append(_pseudo_inverse_rates(l0, model.trace_vector(), pairs)[0])
-            coarse, fine = np.array(estimates)
+            pairs = [self._field_derivatives(mode)[1:3] for mode in (1, 2)]
+            coarse, fine = (
+                np.array(self._shifted_sambe(self.cutoff + extra).rates(pairs)[0])
+                for extra in (0, 4)
+            )
             rel = np.abs(fine - coarse) / np.maximum(np.abs(fine), 1e-300)
             self._truncation = (self.cutoff, coarse, fine, float(rel.max()))
         return self._truncation[3]
 
     def trace_vector(self) -> np.ndarray:
         t = np.zeros((2 * self.cutoff + 1, 9), dtype=complex)
-        t[self.cutoff, [0, 4, 8]] = 1.0
+        t[self.cutoff, _TRACE] = 1.0
         return t.reshape(-1)
 
     def stationary_vector(self) -> np.ndarray:

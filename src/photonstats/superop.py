@@ -2,12 +2,14 @@
 
 Provides vectorization of (generalized) density matrices, Lindblad
 superoperator assembly, non-Hermitian spectral decomposition with
-biorthonormal left/right eigenvectors, propagation, and the one-period
+biorthonormal left/right eigenvectors, propagation, the one-period
 (monodromy) propagator of a time-periodic generator together with its exact
-counting-field derivatives from the variational equations.
+counting-field derivatives from the variational equations, and a block LU
+factorization of block-tridiagonal matrices with a 1-norm condition
+estimate.
 
-All matrices are small (D <= ~100) and dense; everything is double
-precision complex.
+Matrices are small (D <= ~100) and dense, except the block-tridiagonal
+ones; everything is double precision complex.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "propagate",
     "step_change",
     "variational_monodromy",
+    "BlockTridiagonalLU",
 ]
 
 
@@ -409,3 +412,94 @@ def variational_monodromy(
     y0[:d] = np.eye(d)
     y = _integrate(nodes_at, period, steps, y0)
     return y[:d], y[d:2 * d], y[2 * d:]
+
+
+class BlockTridiagonalLU:
+    """Block LU (Thomas) factors of a block-tridiagonal matrix A.
+
+    ``lower[g]``, ``diag[g]`` and ``upper[g]`` are the blocks A[g, g-1],
+    A[g, g] and A[g, g+1]; ``lower[0]`` and ``upper[-1]`` are ignored.  The
+    factors are A = L U with L block lower bidiagonal (diagonal S_g, the
+    Schur complements, and subdiagonal A[g, g-1]) and U unit block upper
+    bidiagonal (superdiagonal S_g^{-1} A[g, g+1]).  Pivoting happens within
+    each S_g (numpy's inverse) but not across blocks, so callers should
+    check residuals; an exactly singular S_g raises
+    ``numpy.linalg.LinAlgError``.  Vectors are stacked per block row with
+    shape (n_blocks, block, k).
+    """
+
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+        self.lower, self.diag, self.upper = lower, diag, upper
+        self.pivots = np.empty_like(diag)  # S_g^{-1}
+        self.ratios = np.empty_like(upper)  # S_g^{-1} A[g, g+1]
+        schur = diag[0]
+        for g in range(len(diag)):
+            if g:
+                schur = diag[g] - lower[g] @ self.ratios[g - 1]
+            self.pivots[g] = np.linalg.inv(schur)
+            self.ratios[g] = self.pivots[g] @ upper[g]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^{-1} rhs: forward through L, back through U."""
+        y = np.empty_like(rhs, dtype=complex)
+        y[0] = self.pivots[0] @ rhs[0]
+        for g in range(1, len(y)):
+            y[g] = self.pivots[g] @ (rhs[g] - self.lower[g] @ y[g - 1])
+        for g in range(len(y) - 2, -1, -1):
+            y[g] -= self.ratios[g] @ y[g + 1]
+        return y
+
+    def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
+        """A^{-H} rhs: forward through U^H, back through L^H."""
+        z = np.array(rhs, dtype=complex)
+        for g in range(1, len(z)):
+            z[g] -= self.ratios[g - 1].conj().T @ z[g - 1]
+        z[-1] = self.pivots[-1].conj().T @ z[-1]
+        for g in range(len(z) - 2, -1, -1):
+            z[g] = self.pivots[g].conj().T @ (z[g] - self.lower[g + 1].conj().T @ z[g + 1])
+        return z
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x, for residuals."""
+        out = self.diag @ x
+        out[1:] += self.lower[1:] @ x[:-1]
+        out[:-1] += self.upper[:-1] @ x[1:]
+        return out
+
+    def residual(self, x: np.ndarray, rhs: np.ndarray) -> float:
+        """Largest relative residual ||A x - rhs||_1 / ||rhs||_1 over the columns."""
+        res = np.abs(self.matvec(x) - rhs).sum(axis=(0, 1))
+        scale = np.maximum(np.abs(rhs).sum(axis=(0, 1)), 1e-300)
+        return float((res / scale).max())
+
+    def cond1(self) -> float:
+        """Estimate of the 1-norm condition number ||A||_1 ||A^{-1}||_1.
+
+        ||A||_1 is exact; ||A^{-1}||_1 is Hager's estimate in Higham's
+        complex form (Higham, ACM TOMS 14, 381 (1988)), which maximizes
+        ||A^{-1} x||_1 over unit vectors by alternating solves with A and
+        A^H, together with the alternating-sign test vector that guards its
+        known blind spots.  The estimate never exceeds the true norm.
+        """
+        cols = np.abs(self.diag).sum(axis=1)
+        cols[:-1] += np.abs(self.lower[1:]).sum(axis=1)
+        cols[1:] += np.abs(self.upper[:-1]).sum(axis=1)
+        shape = self.diag.shape[:2] + (1,)
+        n = self.diag.shape[0] * self.diag.shape[1]
+        x = np.full(shape, 1.0 / n, dtype=complex)
+        est = 0.0
+        for it in range(5):
+            y = self.solve(x)
+            norm = float(np.abs(y).sum())
+            if it and norm <= est:
+                break
+            est = norm
+            z = self.solve_adjoint(np.exp(1j * np.angle(y)))
+            j = int(np.argmax(np.abs(z)))
+            if it and np.abs(z).flat[j] <= np.vdot(z, x).real:
+                break
+            x = np.zeros(shape, dtype=complex)
+            x.flat[j] = 1.0
+        signs = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / max(n - 1, 1))
+        alt = 2.0 * float(np.abs(self.solve(signs.reshape(shape))).sum()) / (3.0 * n)
+        return float(cols.max()) * max(est, alt)

@@ -1,5 +1,6 @@
 """Importing the package, running the default cumulant route (on the periodic
-model's Sambe generator too) and the analytic oracle load no scipy."""
+model's Sambe generator too) and the analytic oracle load no scipy; the CLI
+import leaves multiprocessing out, and the Sambe route leaves numpy.ma out."""
 
 import os
 import subprocess
@@ -11,6 +12,7 @@ SCRIPT = """
 import sys
 
 import photonstats.cli
+assert "concurrent.futures.process" not in sys.modules
 from photonstats.counting import Method, cumulants
 from photonstats.models.jc import JaynesCummingsModel, JcParams
 from photonstats.models.lambda_system import LambdaModel, LambdaParams, LambdaPeriodicModel
@@ -18,6 +20,7 @@ from photonstats.models.lambda_system import LambdaModel, LambdaParams, LambdaPe
 cumulants(JaynesCummingsModel(JcParams()), 1)
 cumulants(LambdaModel(LambdaParams()), 2)
 cumulants(LambdaPeriodicModel(LambdaParams()), 2, method=Method.PSEUDO_INVERSE)
+assert "numpy.ma" not in sys.modules
 cumulants(LambdaModel(LambdaParams()), 2, method=Method.ANALYTIC_ORACLE)
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
 """

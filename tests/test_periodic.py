@@ -11,15 +11,19 @@ import scipy.linalg as la
 from click.testing import CliRunner
 
 from photonstats import cli, counting, superop
+from photonstats.charpoly import DegenerateRootError
 from photonstats.cli import main
 from photonstats.config import ScenarioError, parse_scenario
 from photonstats.counting import (
     CountingFields,
     Method,
+    _fields_for,
+    _pseudo_inverse_rates,
     cumulants,
     degree_one_derivatives,
     dynamical_mgf,
 )
+from photonstats.models import lambda_system
 from photonstats.models.lambda_system import (
     LambdaModel,
     LambdaParams,
@@ -230,7 +234,7 @@ SIX_POINTS = [(r, w) for r in (0, 1, 2) for w in (-2.0, 2.0)]
 
 @pytest.mark.parametrize("r, omega_delta", SIX_POINTS)
 def test_truncation_check_matches_the_route_at_both_cutoffs(r, omega_delta):
-    # the check's harmonic-placed F' and F'' against the route's dense samples
+    # the check's rates at M and M + 4 against the route on models cut there
     model = LambdaPeriodicModel(LambdaParams(r=r).with_detuning(omega_delta))
     assert model.truncation_change < 1e-6
     coarse, fine = model._truncation[1:3]
@@ -241,6 +245,71 @@ def test_truncation_check_matches_the_route_at_both_cutoffs(r, omega_delta):
             rep = cumulants(plain, mode, method=Method.PSEUDO_INVERSE)
             assert flux == pytest.approx(rep.flux, rel=1e-12, abs=0.0)
             assert noise == pytest.approx(rep.noise, rel=1e-12, abs=0.0)
+
+
+def dense_bordered_rates(model, selector):
+    """(flux, noise) and eps * cond_1(B) from the dense bordered inverse of the Sambe generator."""
+    def generator(x):
+        fields = _fields_for(model, selector, x)
+        return model.dressed_liouvillian(fields.chi, fields.xi)
+
+    l0, l1, l2, _ = degree_one_derivatives(generator)
+    [rates], cond_error = _pseudo_inverse_rates(l0, model.trace_vector(), [(l1, l2)])
+    return rates, cond_error
+
+
+# the six floquet-periodic points and the fig5 end point (M = 20, 2M + 1 odd
+# photon blocks in pairs: the last group is padded)
+STRUCTURED_POINTS = [LambdaParams(r=r).with_detuning(w) for r, w in SIX_POINTS] + [
+    LambdaParams(r=2, omega_1=32.0, omega_p1=320.0, phi1=math.pi / 2)
+]
+
+
+@pytest.mark.parametrize("p", STRUCTURED_POINTS, ids=lambda p: f"r{p.r}-{p.omega_1}-{p.omega_p1}")
+def test_shifted_block_solve_matches_dense_bordered_inverse(p):
+    model = LambdaPeriodicModel(p, check_tol=None)
+    if p is STRUCTURED_POINTS[-1]:
+        assert model.cutoff == 20
+    # the bath flux reads the small excited populations of the stationary
+    # state: it catches a shift that pollutes their rows
+    for selector in (1, 2, "drive", "bath"):
+        (flux, noise), dense_cond = dense_bordered_rates(model, selector)
+        rep = cumulants(model, selector, method=Method.PSEUDO_INVERSE)
+        assert rep.flux == pytest.approx(flux, rel=1e-12, abs=0.0)
+        assert rep.noise == pytest.approx(noise, rel=1e-12, abs=0.0)
+        assert not rep.flagged
+    cond_error = model._shifted_sambe(model.cutoff).cond_error
+    assert dense_cond / 10 <= cond_error <= 10 * dense_cond
+    assert rep.stencil_error >= cond_error
+
+
+def test_singular_sambe_generator_raises():
+    # no pump, no signal, no decay: every harmonic vanishes, so the m = 0
+    # block of the shifted generator is the rank-one trace shift alone
+    p = LambdaParams(omega_p0=0.0, omega_p1=0.0, omega_s=0.0, gamma=0.0).with_detuning(0.0)
+    assert p.eps_b_delta == 0.0 and p.eps_c_delta == 0.0
+    with pytest.raises(DegenerateRootError):
+        cumulants(LambdaPeriodicModel(p), 2)
+    with pytest.raises(DegenerateRootError):
+        cumulants(LambdaPeriodicModel(p, check_tol=None), 2)
+
+
+def test_fig4_point_factors_once_per_cutoff(monkeypatch):
+    # the route reuses the cutoff check's factorization at M
+    shapes = []
+
+    class Counted(lambda_system.BlockTridiagonalLU):
+        def __init__(self, lower, diag, upper):
+            shapes.append(diag.shape)
+            super().__init__(lower, diag, upper)
+
+    monkeypatch.setattr(lambda_system, "BlockTridiagonalLU", Counted)
+    params = LambdaParams(r=2).with_detuning(2.0)
+    scenario = replace(parse_scenario("model:\n  kind: lambda\n"), model_params=params)
+    row = cli._fig4_point(scenario)
+    assert row[6] == ""
+    cutoff = LambdaPeriodicModel(params).cutoff
+    assert shapes == [(-(-(2 * m + 1) // 2), 18, 18) for m in (cutoff, cutoff + 4)]
 
 
 def test_fig4_numeric_columns_match_rk4_without_running_it(tmp_path, monkeypatch):

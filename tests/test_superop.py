@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from photonstats.superop import (
     PAULI,
     Basis,
+    BlockTridiagonalLU,
     DefectiveMatrixError,
     check_trace_conserving,
     devectorize,
@@ -210,3 +211,41 @@ class TestPeriodic:
     def test_min_steps(self):
         with pytest.raises(ValueError):
             monodromy([np.eye(2)], 1.0, steps=16)
+
+
+class TestBlockTridiagonalLU:
+    @staticmethod
+    def random_system(groups=5, block=4, rng=RNG):
+        blocks = rng.normal(size=(3, groups, block, block)) + 1j * rng.normal(
+            size=(3, groups, block, block)
+        )
+        lower, diag, upper = blocks
+        diag += 6.0 * np.eye(block)
+        dense = la.block_diag(*diag)
+        for g in range(1, groups):
+            rows, cols = slice(g * block, (g + 1) * block), slice((g - 1) * block, g * block)
+            dense[rows, cols] = lower[g]
+            dense[cols, rows] = upper[g - 1]
+        return BlockTridiagonalLU(lower, diag, upper), dense
+
+    def test_solves_match_dense(self):
+        lu, dense = self.random_system()
+        rhs = random_matrix(20)[:, :3].reshape(5, 4, 3)
+        flat = rhs.reshape(20, 3)
+        assert np.allclose(lu.solve(rhs).reshape(20, 3), np.linalg.solve(dense, flat))
+        assert np.allclose(
+            lu.solve_adjoint(rhs).reshape(20, 3), np.linalg.solve(dense.conj().T, flat)
+        )
+        assert np.allclose(lu.matvec(rhs).reshape(20, 3), dense @ flat)
+
+    def test_condition_estimate_is_a_close_lower_bound(self):
+        lu, dense = self.random_system()
+        exact = np.linalg.cond(dense, 1)
+        assert 0.3 * exact <= lu.cond1() <= exact * (1 + 1e-12)
+
+    def test_singular_pivot_block_raises(self):
+        lower, diag, upper = np.zeros((3, 3, 2, 2), dtype=complex)
+        diag[:] = np.eye(2)
+        diag[1] = [[1.0, 0.0], [0.0, 0.0]]
+        with pytest.raises(np.linalg.LinAlgError):
+            BlockTridiagonalLU(lower, diag, upper)
