@@ -17,7 +17,6 @@ from .counting import (
     conservation_check,
     cumulants,
     dynamical_mgf,
-    semiclassical_flux,
 )
 from .distributions import (
     GaussianLaw,
@@ -42,21 +41,11 @@ from .perturbation import (
     adiabatic_eliminate,
     nhpt_eigenvalue,
 )
-from .superop import (
-    Basis,
-    SpectralDecomposition,
-    devectorize,
-    lindblad_liouvillian,
-    propagate,
-    spectral_decompose,
-    stationary_state,
-    vectorize,
-)
+from .superop import SpectralDecomposition, propagate, spectral_decompose
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Basis",
     "CharPolyCoeffs",
     "ConservationReport",
     "CountingFields",
@@ -84,18 +73,13 @@ __all__ = [
     "closed_mgf",
     "conservation_check",
     "cumulants",
-    "devectorize",
     "dynamical_mgf",
-    "lindblad_liouvillian",
     "load_scenario",
     "nhpt_eigenvalue",
     "parse_scenario",
     "propagate",
     "reconstruct",
     "reconstruct_from_mgf",
-    "semiclassical_flux",
     "spectral_decompose",
-    "stationary_state",
     "truncated_root",
-    "vectorize",
 ]

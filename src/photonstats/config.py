@@ -15,8 +15,10 @@ from dataclasses import dataclass, field, replace
 import yaml
 
 from .counting import DEFAULT_METHOD, STEP_METHODS, Method, no_step_message
+from .distributions import MIN_N
 from .models.jc import JcParams
 from .models.lambda_system import LambdaParams
+from .superop import MIN_STEPS
 
 __all__ = [
     "Task",
@@ -263,11 +265,12 @@ def _parse_numerics(out: list, doc) -> Numerics:
             out.append("numerics.h: must be positive")
         elif v is not None:
             kwargs["h"] = v
-    for key in ("n_fft", "steps", "threads"):
+    for key, least in (("n_fft", MIN_N), ("steps", MIN_STEPS), ("threads", 1)):
         if key in doc:
             v = _want_number(out, f"numerics.{key}", doc[key], integer=True)
-            if v is not None and v < 1:
-                out.append(f"numerics.{key}: must be >= 1")
+            if v is not None and (v < least or (key == "n_fft" and v & (v - 1))):
+                power = "a power of two " if key == "n_fft" else ""
+                out.append(f"numerics.{key}: must be {power}>= {least}, got {v}")
             elif v is not None:
                 kwargs[key] = v
     return Numerics(**kwargs)
@@ -287,10 +290,10 @@ def _parse_distribution(out: list, doc) -> DistributionSpec:
         if (
             not isinstance(modes, list)
             or not modes
-            or len(modes) > 2
-            or not all(isinstance(m, int) and not isinstance(m, bool) for m in modes)
+            or not all(type(m) is int and m in (1, 2) for m in modes)
+            or len(set(modes)) != len(modes)
         ):
-            out.append("distribution.modes: expected a list of 1 or 2 mode indices")
+            out.append("distribution.modes: expected [1], [2], [1, 2] or [2, 1]")
         else:
             kwargs["modes"] = tuple(modes)
     if "time" in doc:
@@ -315,7 +318,15 @@ def _parse_distribution(out: list, doc) -> DistributionSpec:
                     for i, v in enumerate(raw)]
             if all(v is not None for v in vals):
                 kwargs[key] = tuple(vals)
-    return DistributionSpec(**kwargs)
+    spec = DistributionSpec(**kwargs)
+    keys = ("alphas",) if spec.law == "poisson" else ("nbar", "sigma2")
+    for key in keys:
+        if len(getattr(spec, key)) < len(spec.modes):
+            out.append(
+                f"distribution.{key}: needs one entry per resolved mode "
+                f"({len(spec.modes)})"
+            )
+    return spec
 
 
 def _parse_closed(out: list, doc) -> ClosedSpec:

@@ -45,18 +45,14 @@ __all__ = [
     "MgfValue",
     "CumulantReport",
     "ConservationReport",
-    "ValidityWindow",
-    "BranchCollisionError",
     "evolve_generalized",
     "dynamical_mgf",
-    "asymptotic_mgf",
     "initial_mgf",
     "gaussian_initial_mgf",
     "lambda0_nearest",
-    "track_lambda0",
     "spectral_gap",
     "default_step",
-    "degree_one_derivatives",
+    "field_derivatives",
     "cumulants",
     "cumulants_spectral",
     "cumulants_charpoly",
@@ -64,8 +60,6 @@ __all__ = [
     "cumulants_periodic",
     "cumulants_pseudo_inverse",
     "conservation_check",
-    "semiclassical_flux",
-    "validity_window",
 ]
 
 _STENCIL_FLAG_RTOL = 1e-6
@@ -89,10 +83,6 @@ def no_step_message(method: Method) -> str:
     """Why ``method`` refuses a stencil step ``h`` (engine and scenario checks)."""
     names = " and ".join(m.value for m in STEP_METHODS)
     return f"{method.value} takes no stencil step h; only {names} do"
-
-
-class BranchCollisionError(RuntimeError):
-    """Eigenvalue continuation became ambiguous; use the charpoly route."""
 
 
 @dataclass(frozen=True)
@@ -120,14 +110,13 @@ class CountingFields:
 
 @dataclass(frozen=True)
 class MgfValue:
-    """Moment-generating-function sample with its two-branch decomposition.
+    """Moment-generating-function sample.
 
     ``fallback`` is true when either branch was propagated by expm.
     """
 
     value: complex
     time: float
-    decomposition: tuple[complex, complex] | None = None
     fallback: bool = False
 
 
@@ -186,17 +175,7 @@ def dynamical_mgf(model, fields: CountingFields, rho0_vec, t: float) -> MgfValue
     minus = evolve_generalized(model, fields.negated_chi(), rho0_vec, t)
     left = complex(trace @ plus.vector) / 2.0
     right = np.conj(complex(trace @ minus.vector)) / 2.0
-    return MgfValue(value=left + right, time=t, decomposition=(left, right),
-                    fallback=plus.fallback or minus.fallback)
-
-
-def asymptotic_mgf(model, fields: CountingFields, t: float) -> MgfValue:
-    """Long-time MGF [e^{lambda0(xi,chi) t} + e^{conj(lambda0(xi,-chi)) t}]/2."""
-    lam_p = track_lambda0(model, fields)
-    lam_m = track_lambda0(model, fields.negated_chi())
-    left = np.exp(lam_p * t) / 2.0
-    right = np.exp(np.conj(lam_m) * t) / 2.0
-    return MgfValue(value=complex(left + right), time=t, decomposition=(left, right))
+    return MgfValue(value=left + right, time=t, fallback=plus.fallback or minus.fallback)
 
 
 def initial_mgf(alphas: Sequence[float], chi: Sequence[float]) -> complex:
@@ -253,8 +232,7 @@ def _newton_polish(liouv: np.ndarray, lam: complex, steps: int = 2) -> complex:
 def lambda0_nearest(model, fields: CountingFields) -> complex:
     """Eigenvalue of the dressed generator nearest zero, Newton-refined.
 
-    Safe for the small fields used in derivative stencils; for large fields
-    use :func:`track_lambda0`.
+    Safe for the small fields used in derivative stencils only.
     """
     liouv = model.dressed_liouvillian(fields.chi, fields.xi)
     evals = np.linalg.eigvals(liouv)
@@ -275,59 +253,6 @@ def spectral_gap(model) -> float:
     rates = np.abs(evals.real)
     nonzero = rates[rates > 1e-12 * scale]
     return float(nonzero.min()) if nonzero.size else 0.0
-
-
-def track_lambda0(
-    model,
-    fields: CountingFields,
-    gap_fraction: float = 0.25,
-    collision_rtol: float = 1e-3,
-    max_halvings: int = 14,
-) -> complex:
-    """lambda_0 at finite fields by continuation of the branch through zero.
-
-    Walks a straight line in field space, bounding each eigenvalue move by a
-    fraction of the local spectral gap and selecting the eigenvalue nearest
-    the previous one.  Raises :class:`BranchCollisionError` when a second
-    eigenvalue comes within ``collision_rtol`` x gap of the tracked branch.
-    """
-    target = np.array(fields.chi + fields.xi, dtype=float)
-    n_chi = len(fields.chi)
-    if not np.any(target):
-        return lambda0_nearest(model, fields)
-    gap0 = spectral_gap(model)
-    if gap0 == 0.0:
-        raise BranchCollisionError("zero spectral gap; branch undefined")
-    s = 0.0
-    ds = 1.0
-    lam_prev = 0.0 + 0.0j
-    halvings = 0
-    while s < 1.0:
-        s_try = min(1.0, s + ds)
-        point = s_try * target
-        liouv = model.dressed_liouvillian(
-            tuple(point[:n_chi]), tuple(point[n_chi:])
-        )
-        evals = np.linalg.eigvals(liouv)
-        dists = np.abs(evals - lam_prev)
-        order = np.argsort(dists)
-        nearest = evals[order[0]]
-        if abs(nearest - lam_prev) > gap_fraction * gap0 and s_try - s > 1e-6:
-            ds *= 0.5
-            halvings += 1
-            if halvings > max_halvings:
-                raise BranchCollisionError(
-                    "step control failed to bound the branch motion"
-                )
-            continue
-        if len(evals) > 1 and dists[order[1]] <= collision_rtol * gap0:
-            raise BranchCollisionError(
-                f"second eigenvalue within {dists[order[1]]:.3e} of the tracked "
-                "branch; fall back to the characteristic-polynomial route"
-            )
-        lam_prev = complex(nearest)
-        s = s_try
-    return lam_prev
 
 
 def default_step(model, h: float = 1e-3, gap_divisor: float = 20.0) -> float:
@@ -540,17 +465,19 @@ def _rel_change(coarse: float, fine: float) -> float:
 _NYQUIST_RTOL = 1e-12
 
 
-def degree_one_derivatives(
-    fn: Callable[[float], np.ndarray],
+def field_derivatives(
+    model, selector: Selector, fn: Callable[[tuple, tuple], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """fn(0), fn'(0), fn''(0) of a field function of trigonometric degree 1.
+    """fn(chi, xi) and its first two derivatives along ``selector`` at zero field.
 
-    Four equispaced samples over one field period determine such a function
-    exactly, so the derivatives carry roundoff only.  The Nyquist bin must
-    then be empty: its weight relative to the largest sample is returned as
-    the share, and a share above 1e-12 raises ``ValueError``.
+    ``fn`` must be of trigonometric degree 1 in the field: four equispaced
+    samples over one field period then determine it exactly, so the
+    derivatives carry roundoff only.  The Nyquist bin must be empty: its
+    weight relative to the largest sample is returned as the share, and a
+    share above 1e-12 raises ``ValueError``.
     """
-    samples = np.array([fn(2.0 * math.pi * j / 4) for j in range(4)], dtype=complex)
+    fields = [_fields_for(model, selector, 2.0 * math.pi * j / 4) for j in range(4)]
+    samples = np.array([fn(f.chi, f.xi) for f in fields], dtype=complex)
     coeffs, _, d1, d2 = fourier_derivatives(samples)
     share = float(np.abs(coeffs[2]).max()) / max(float(np.abs(samples).max()), 1e-300)
     if share > _NYQUIST_RTOL:
@@ -608,11 +535,7 @@ def cumulants_pseudo_inverse(
     if hasattr(model, "pseudo_inverse_rates"):
         flux, noise, err = model.pseudo_inverse_rates(selector)
     else:
-        def generator(x: float) -> np.ndarray:
-            fields = _fields_for(model, selector, x)
-            return model.dressed_liouvillian(fields.chi, fields.xi)
-
-        l0, l1, l2, share = degree_one_derivatives(generator)
+        l0, l1, l2, share = field_derivatives(model, selector, model.dressed_liouvillian)
         trace = model.trace_vector()
         [(flux, noise)], cond_error = _pseudo_inverse_rates(l0, trace, [(l1, l2)])
         err = max(share, cond_error)
@@ -648,12 +571,9 @@ def cumulants_periodic(
         )
     zero = _fields_for(model, selector, 0.0)
     orders = model.time_harmonics(zero.chi, zero.xi)[0]
-
-    def harmonics(x: float) -> np.ndarray:
-        fields = _fields_for(model, selector, x)
-        return model.time_harmonics(fields.chi, fields.xi)[1]
-
-    h0, d1, d2, _ = degree_one_derivatives(harmonics)
+    h0, d1, d2, _ = field_derivatives(
+        model, selector, lambda chi, xi: model.time_harmonics(chi, xi)[1]
+    )
     derivs = np.stack((h0, d1, d2))
     passes = []
     for steps in (model.steps, 2 * model.steps):
@@ -720,51 +640,3 @@ def conservation_check(
         flux_tol=flux_tol,
         noise_tol=noise_tol,
     )
-
-
-def semiclassical_flux(model, mode: int) -> float:
-    """Stationary-state flux from the phase derivative of the drive energy."""
-    if not hasattr(model, "semiclassical_flux"):
-        raise NotImplementedError(
-            f"{type(model).__name__} has no semiclassical stationary state"
-        )
-    return model.semiclassical_flux(mode)
-
-
-# ---------------------------------------------------------------------------
-# validity advisory
-
-
-@dataclass(frozen=True)
-class ValidityWindow:
-    """Largest time for which the semiclassical factorization error stays small."""
-
-    bound: float
-    ok: bool
-    reason: str = ""
-
-
-def validity_window(
-    g: float, gamma: float, nbar: float, sigma: float, eps: float
-) -> ValidityWindow:
-    """Time bound from max{g t / sigma^2, sigma / nbar, g t / nbar, gamma t / nbar} <= eps."""
-    if nbar <= 0 or sigma <= 0:
-        raise ValueError("nbar and sigma must be positive")
-    if sigma / nbar > eps:
-        return ValidityWindow(
-            bound=0.0,
-            ok=False,
-            reason=(
-                f"time-independent term sigma/nbar = {sigma / nbar:.3e} "
-                f"already exceeds eps = {eps:.3e}"
-            ),
-        )
-    bounds = []
-    if g > 0:
-        bounds.append(eps * sigma * sigma / g)
-        bounds.append(eps * nbar / g)
-    if gamma > 0:
-        bounds.append(eps * nbar / gamma)
-    if not bounds:
-        return ValidityWindow(bound=math.inf, ok=True, reason="no decaying terms")
-    return ValidityWindow(bound=min(bounds), ok=True)

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 EPS_FFT = 1e-9
-_MIN_N = 128
+MIN_N = 128  # smallest FFT window; every window is a power of two
 _SIGMA_COVERAGE = 6.0
 
 
@@ -148,8 +148,8 @@ def reconstruct_from_mgf(
     clipping them would corrupt the moments, whereas for dissipative
     dynamics negatives are pure FFT ringing and are clipped away.
     """
-    if n < _MIN_N or n & (n - 1):
-        raise ValueError(f"N must be a power of two >= {_MIN_N}, got {n}")
+    if n < MIN_N or n & (n - 1):
+        raise ValueError(f"N must be a power of two >= {MIN_N}, got {n}")
     if n_modes not in (1, 2):
         raise ValueError("only 1-mode marginals and 2-mode joints are supported")
     means, variances = _mgf_moments(mgf, n_modes)

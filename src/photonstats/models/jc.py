@@ -34,10 +34,8 @@ __all__ = [
     "jc_flux_oracle",
     "jc_exact_cumulants",
     "jc_stationary_bloch",
-    "jc_quasienergies",
     "jc_dressed_quasienergies",
     "jc_closed_statistics",
-    "jc_floquet_switching_noise",
 ]
 
 
@@ -200,30 +198,6 @@ def jc_exact_cumulants(p: JcParams, field: str = "mode1") -> tuple[float, float]
     return flux, noise
 
 
-def jc_floquet_switching_noise(p: JcParams) -> float:
-    """Heuristic noise rate from quasienergy-branch switching intervals.
-
-    Models the photon exchange as a binomial variable refreshed every
-    lifetime 1/gamma; returned as variance per unit time.  This heuristic
-    disagrees with the weak-dissipation closed form by a constant factor at
-    phi = pi/2 and is exposed for comparison only.
-    """
-    if p.eps_delta != 0.0:
-        raise ValueError("switching heuristic is defined at zero detuning")
-    if p.gamma == 0.0:
-        raise ZeroDivisionError("switching interval diverges at gamma = 0")
-    phi = p.phase_diff
-    o1, o2 = p.omega1, p.omega2
-    var_per_interval = (
-        0.5
-        * o1**2
-        * o2**2
-        * math.sin(phi)
-        / (o1 * o1 + o2 * o2 + 2.0 * o1 * o2 * math.cos(phi))
-    )
-    return var_per_interval / p.gamma
-
-
 def jc_stationary_bloch(p: JcParams) -> tuple[float, float, float]:
     """Stationary Bloch vector (rho_x, rho_y, rho_z) at zero counting fields."""
     ox = p.omega1 * math.cos(p.phi1) + p.omega2 * math.cos(p.phi2)
@@ -253,42 +227,33 @@ def jc_semiclassical_flux(p: JcParams, mode: int) -> float:
     return omega * (rx * math.sin(phi) - ry * math.cos(phi))
 
 
-def _quasienergy_radicand(p: JcParams, chi: tuple[float, float], doubled: bool) -> float:
+def _quasienergy_radicand(p: JcParams, chi: tuple[float, float]) -> float:
     arg = p.phase_diff + chi[1] - chi[0]
     w2 = p.omega1**2 + p.omega2**2 + 2.0 * p.omega1 * p.omega2 * math.cos(arg)
-    factor = 4.0 if doubled else 1.0
-    return p.eps_delta**2 + factor * w2
-
-
-def jc_quasienergies(
-    p: JcParams, chi: tuple[float, float] = (0.0, 0.0)
-) -> tuple[float, float]:
-    """Counting-field-resolved quasienergy pair (E_1, E_2) = (-, +)."""
-    root = 0.5 * math.sqrt(_quasienergy_radicand(p, chi, doubled=False))
-    return (-root, root)
+    return p.eps_delta**2 + 4.0 * w2
 
 
 def jc_dressed_quasienergies(
     p: JcParams, chi: tuple[float, float] = (0.0, 0.0)
 ) -> tuple[float, float]:
-    """Quasienergies of the full rotating-frame two-level Hamiltonian.
+    """Counting-field-resolved quasienergy pair (E_1, E_2) = (-, +).
 
-    Same structure as :func:`jc_quasienergies` but with the drive entering
-    at its full strength (radicand eps^2 + 4 Omega^2); this is the variant
-    consistent with the dissipative generator and is what the closed-system
-    generating function uses.
+    These are the quasienergies of the full rotating-frame two-level
+    Hamiltonian, +-(1/2) sqrt(eps^2 + 4 |Omega|^2), the form consistent
+    with the dissipative generator (there d rho_x/dt = -eps rho_y +
+    2 Omega_y rho_z); the closed-system generating function uses them.
     """
-    root = 0.5 * math.sqrt(_quasienergy_radicand(p, chi, doubled=True))
+    root = 0.5 * math.sqrt(_quasienergy_radicand(p, chi))
     return (-root, root)
 
 
 def _quasienergy_derivatives(p: JcParams, mode: int) -> tuple[float, float]:
-    """(dE_1/dchi_k, dE_2/dchi_k) at zero counting fields."""
-    root = math.sqrt(_quasienergy_radicand(p, (0.0, 0.0), doubled=False))
+    """(dE_1/dchi_k, dE_2/dchi_k) of the dressed quasienergies at zero fields."""
+    root = math.sqrt(_quasienergy_radicand(p, (0.0, 0.0)))
     if root == 0.0:
         return (0.0, 0.0)
     sign = 1.0 if mode == 1 else -1.0
-    base = sign * p.omega1 * p.omega2 * math.sin(p.phase_diff) / (2.0 * root)
+    base = sign * 2.0 * p.omega1 * p.omega2 * math.sin(p.phase_diff) / root
     return (-base, base)
 
 
@@ -301,9 +266,12 @@ def jc_closed_statistics(
     """Mean and variance of the photon-number change for a lossless emitter
     prepared in a mixture of the two Floquet states.
 
-    mean = -sum_mu w_mu (dE_mu/dchi_k) t; the variance is the weighted
-    branch spread, vanishing for a single Floquet state and equal to
-    (dE_2/dchi_k - dE_1/dchi_k)^2 t^2 for the balanced superposition.
+    These are the log-MGF derivatives of the dressed-quasienergy generating
+    function (``distributions.closed_mgf``): mean = -sum_mu w_mu E'_mu t,
+    with E'_mu = dE_mu/dchi_k, and the variance is the weighted branch
+    spread t^2 [sum_mu w_mu E'_mu^2 - (sum_mu w_mu E'_mu)^2], vanishing for
+    a single Floquet state and (E'_2 - E'_1)^2 t^2 / 4 for the balanced
+    superposition.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (2,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
@@ -311,8 +279,7 @@ def jc_closed_statistics(
     d1, d2 = _quasienergy_derivatives(p, mode)
     derivs = np.array([d1, d2])
     mean = -float(w @ derivs) * t
-    spread = float(w @ derivs**2 - (w @ derivs) ** 2)
-    variance = 4.0 * spread * t * t
+    variance = float(w @ derivs**2 - (w @ derivs) ** 2) * t * t
     return (mean, variance)
 
 
@@ -338,9 +305,6 @@ class JaynesCummingsModel:
     def stationary_vector(self) -> np.ndarray:
         rx, ry, rz = jc_stationary_bloch(self.params)
         return np.array([1.0, rx, ry, rz], dtype=complex)
-
-    def semiclassical_flux(self, mode: int) -> float:
-        return jc_semiclassical_flux(self.params, mode)
 
     def oracle_cumulants(self, selector) -> CumulantReport:
         """AnalyticOracle: exact cumulants from the closed-form quartic."""

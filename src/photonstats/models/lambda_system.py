@@ -34,7 +34,7 @@ import numpy as np
 
 from ..bessel import bessel_j
 from ..charpoly import DegenerateRootError
-from ..counting import CumulantReport, Method, _fields_for, degree_one_derivatives
+from ..counting import CumulantReport, Method, field_derivatives
 from ..superop import (
     BlockTridiagonalLU,
     StepConvergenceError,
@@ -99,17 +99,6 @@ class LambdaParams:
     def pump_resonant(self) -> bool:
         return abs(self.eps_c - self.eps_b - self.omega_p) <= 1e-9 * max(
             abs(self.omega_p), 1.0
-        )
-
-    @property
-    def rwa_advisory_ok(self) -> bool:
-        """Heuristic regime check for the rotating-wave approximation."""
-        scale = self.omega_d
-        return (
-            self.gamma <= 0.25 * scale
-            and self.omega_s <= 0.25 * scale
-            and abs(self.omega_p0) <= 0.25 * scale
-            and max(abs(self.eps_b_delta), abs(self.eps_c_delta)) <= 0.25 * scale
         )
 
     def with_detuning(self, omega_delta: float) -> "LambdaParams":
@@ -225,12 +214,7 @@ class LambdaModel:
     n_modes = 2
     n_baths = 1
 
-    def __init__(self, params: LambdaParams, require_rwa: bool = False):
-        if require_rwa and not params.rwa_advisory_ok:
-            raise ValueError(
-                "parameters are outside the rotating-wave regime; "
-                "use the periodic-frame model or pass require_rwa=False"
-            )
+    def __init__(self, params: LambdaParams):
         self.params = params
         h0 = _h_static(params)
         self._h_static_superop = hamiltonian_superop(h0, h0)
@@ -281,11 +265,9 @@ class LambdaModel:
         if selector == "bath":
             raise ValueError("the closed-form slow eigenvalue counts drive photons only")
 
-        def lambda0(x: float) -> complex:
-            chi = _fields_for(self, selector, x).chi
-            return lambda_lambda0_pt2(self.params, chi)
-
-        _, d1, d2, share = degree_one_derivatives(lambda0)
+        _, d1, d2, share = field_derivatives(
+            self, selector, lambda chi, xi: lambda_lambda0_pt2(self.params, chi)
+        )
         return CumulantReport(
             mode=selector,
             flux=float((1j * d1).real),
@@ -463,6 +445,8 @@ class LambdaPeriodicModel:
         self.cutoff = _harmonic_cutoff(params)
         self._truncation = None
         self._shifted: dict[int, _ShiftedSambe] = {}
+        self._derivatives: dict = {}
+        self._orders = None
 
     @property
     def period(self) -> float:
@@ -541,18 +525,23 @@ class LambdaPeriodicModel:
         return _sambe(orders, mats, self.cutoff, self.params.omega_d)
 
     def _field_derivatives(self, selector):
-        """Harmonics at zero field and their exact field derivatives, and the Nyquist share."""
-        def harmonics(x: float) -> np.ndarray:
-            fields = _fields_for(self, selector, x)
-            return self.time_harmonics(fields.chi, fields.xi)[1]
+        """Harmonics at zero field, their exact field derivatives along
+        ``selector`` and the Nyquist share, sampled once per selector; the
+        sampling also records the harmonic ``orders``."""
+        if selector not in self._derivatives:
+            def harmonics(chi, xi) -> np.ndarray:
+                self._orders, mats = self.time_harmonics(chi, xi)
+                return mats
 
-        return degree_one_derivatives(harmonics)
+            self._derivatives[selector] = field_derivatives(self, selector, harmonics)
+        return self._derivatives[selector]
 
     def _shifted_sambe(self, cutoff: int) -> _ShiftedSambe:
-        """The factored shifted generator at ``cutoff``, built once per cutoff."""
+        """The factored shifted generator at ``cutoff``, built once per cutoff
+        from the zero-field harmonics of the mode-1 samples."""
         if cutoff not in self._shifted:
-            orders, l0 = self.time_harmonics((0.0, 0.0), (0.0,))
-            self._shifted[cutoff] = _ShiftedSambe(orders, l0, cutoff, self.params.omega_d)
+            l0 = self._field_derivatives(1)[0]
+            self._shifted[cutoff] = _ShiftedSambe(self._orders, l0, cutoff, self.params.omega_d)
         return self._shifted[cutoff]
 
     def pseudo_inverse_rates(self, selector) -> tuple[float, float, float]:

@@ -48,13 +48,12 @@ def central_derivative(
     f: Callable[[float], complex],
     order: int,
     h: float = 1e-3,
-    richardson: bool = True,
 ) -> StencilResult:
     """m-th derivative of f at 0 (m in {1, 2}) by a 4th-order central stencil.
 
-    With ``richardson`` the stencil is re-evaluated at h/2 and the two
-    estimates are extrapolated (effective order 6); the h and h/2 values are
-    kept as coarse/fine for the disagreement diagnostic.
+    The stencil is re-evaluated at h/2 and the two estimates are
+    extrapolated (effective order 6); the h and h/2 values are kept as
+    coarse/fine for the disagreement diagnostic.
     """
     if order == 1:
         stencil = _stencil_1
@@ -63,8 +62,6 @@ def central_derivative(
     else:
         raise ValueError("only first and second derivatives are supported")
     coarse = stencil(f, h)
-    if not richardson:
-        return StencilResult(value=coarse, order=order, h=h, coarse=coarse, fine=coarse)
     fine = stencil(f, h / 2)
     value = (16.0 * fine - coarse) / 15.0
     return StencilResult(value=value, order=order, h=h, coarse=coarse, fine=fine)

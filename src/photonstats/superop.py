@@ -1,12 +1,11 @@
 """Dense complex linear-algebra substrate for open-system photon counting.
 
-Provides vectorization of (generalized) density matrices, Lindblad
-superoperator assembly, non-Hermitian spectral decomposition with
-biorthonormal left/right eigenvectors, propagation, the one-period
-(monodromy) propagator of a time-periodic generator together with its exact
-counting-field derivatives from the variational equations, and a block LU
-factorization of block-tridiagonal matrices with a 1-norm condition
-estimate.
+Provides Lindblad superoperator assembly on row-major vec(rho),
+non-Hermitian spectral decomposition with biorthonormal left/right
+eigenvectors, propagation, the one-period (monodromy) propagator of a
+time-periodic generator together with its exact counting-field derivatives
+from the variational equations, and a block LU factorization of
+block-tridiagonal matrices with a 1-norm condition estimate.
 
 Matrices are small (D <= ~100) and dense, except the block-tridiagonal
 ones; everything is double precision complex.
@@ -14,41 +13,24 @@ ones; everything is double precision complex.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Basis",
     "SpectralDecomposition",
     "PropagationResult",
     "DefectiveMatrixError",
-    "DegenerateStationaryStateError",
     "StepConvergenceError",
-    "PAULI",
-    "vectorize",
-    "devectorize",
-    "trace_form",
     "hamiltonian_superop",
     "dissipator_superop",
-    "lindblad_liouvillian",
-    "check_trace_conserving",
     "spectral_decompose",
-    "stationary_state",
     "propagate",
     "step_change",
     "variational_monodromy",
     "BlockTridiagonalLU",
 ]
-
-
-class Basis(enum.Enum):
-    """Vectorization basis for density matrices."""
-
-    ELEMENT = "element"
-    PAULI = "pauli"
 
 
 class DefectiveMatrixError(ValueError):
@@ -60,17 +42,6 @@ class DefectiveMatrixError(ValueError):
         super().__init__(
             f"eigenvector matrix condition number {cond:.3e} exceeds "
             f"threshold {threshold:.3e}; matrix is (numerically) defective"
-        )
-
-
-class DegenerateStationaryStateError(ValueError):
-    """Raised when more than one eigenvalue sits inside the stationarity tolerance."""
-
-    def __init__(self, eigenvalues):
-        self.eigenvalues = list(eigenvalues)
-        super().__init__(
-            "degenerate stationary subspace; eigenvalues within tolerance: "
-            + ", ".join(f"{ev:.6e}" for ev in self.eigenvalues)
         )
 
 
@@ -90,56 +61,6 @@ class StepConvergenceError(RuntimeError):
             f"periodic numerics not converged: relative change {rel_change:.3e} "
             f"between the coarse and refined estimates exceeds tolerance {tol:.3e}"
         )
-
-
-# Pauli matrices, sigma_0 = identity.
-PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
-
-
-def vectorize(rho: np.ndarray, basis: Basis = Basis.ELEMENT) -> np.ndarray:
-    """Flatten a (generalized) density matrix into a coefficient vector.
-
-    ELEMENT stacks the rows (row-major).  PAULI is only defined for d=2 and
-    returns (rho_0, rho_x, rho_y, rho_z) with rho_alpha = tr[rho sigma_alpha];
-    the first component carries the trace.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    if basis is Basis.ELEMENT:
-        return rho.reshape(-1).copy()
-    if rho.shape != (2, 2):
-        raise ValueError("Pauli basis requires a 2x2 matrix")
-    return np.array([np.trace(rho @ s) for s in PAULI], dtype=complex)
-
-
-def devectorize(vec: np.ndarray, basis: Basis = Basis.ELEMENT) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    vec = np.asarray(vec, dtype=complex)
-    if basis is Basis.ELEMENT:
-        d = math.isqrt(vec.size)
-        if d * d != vec.size:
-            raise ValueError(f"vector length {vec.size} is not a perfect square")
-        return vec.reshape(d, d).copy()
-    if vec.size != 4:
-        raise ValueError("Pauli basis requires a length-4 vector")
-    return sum(v * s for v, s in zip(vec, PAULI)) / 2.0
-
-
-def trace_form(dim: int, basis: Basis = Basis.ELEMENT) -> np.ndarray:
-    """Row functional t such that t @ vectorize(rho) = tr[rho]."""
-    if basis is Basis.PAULI:
-        if dim != 2:
-            raise ValueError("Pauli basis requires dim=2")
-        t = np.zeros(4, dtype=complex)
-        t[0] = 1.0
-        return t
-    return np.eye(dim, dtype=complex).reshape(-1)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,32 +101,6 @@ def dissipator_superop(c: np.ndarray, rate: float = 1.0, xi: float = 0.0) -> np.
     return rate * (jump - anti)
 
 
-def lindblad_liouvillian(
-    h: np.ndarray,
-    jumps: list[np.ndarray] | None = None,
-    rates: list[float] | None = None,
-    xis: list[float] | None = None,
-) -> np.ndarray:
-    """Assemble a dense Lindblad generator in the element basis."""
-    liouv = hamiltonian_superop(h)
-    jumps = jumps or []
-    rates = rates if rates is not None else [1.0] * len(jumps)
-    xis = xis if xis is not None else [0.0] * len(jumps)
-    for c, g, xi in zip(jumps, rates, xis):
-        liouv = liouv + dissipator_superop(c, g, xi)
-    return liouv
-
-
-def check_trace_conserving(
-    liouv: np.ndarray, t_form: np.ndarray, rtol: float = 1e-12
-) -> bool:
-    """True when the trace functional annihilates the generator."""
-    scale = np.abs(liouv).max()
-    if scale == 0.0:
-        return True
-    return bool(np.abs(t_form @ liouv).max() <= rtol * scale)
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Biorthonormal eigensystem of a (generally non-Hermitian) matrix.
@@ -224,14 +119,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.right * self.eigenvalues) @ self.left
-
-    def gap(self, mu: int) -> float:
-        """Distance from eigenvalue mu to the rest of the spectrum."""
-        others = np.delete(self.eigenvalues, mu)
-        return float(np.abs(others - self.eigenvalues[mu]).min())
 
 
 def spectral_decompose(
@@ -253,41 +140,6 @@ def spectral_decompose(
         raise DefectiveMatrixError(cond, defective_threshold)
     left = np.linalg.inv(right)
     return SpectralDecomposition(eigenvalues=evals, right=right, left=left, cond=cond)
-
-
-def stationary_state(
-    a: np.ndarray,
-    basis: Basis = Basis.ELEMENT,
-    stationarity_tol: float = 1e-10,
-) -> np.ndarray:
-    """Stationary density matrix of a zero-counting-field Liouvillian.
-
-    Returns the right null vector devectorized and normalized to unit trace.
-    The stationarity tolerance is relative to the spectral (2-)norm of ``a``.
-    """
-    a = np.asarray(a, dtype=complex)
-    dec = spectral_decompose(a)
-    scale = np.linalg.norm(a, 2)
-    tol = stationarity_tol * max(scale, 1.0)
-    idx = np.flatnonzero(np.abs(dec.eigenvalues) <= tol)
-    if idx.size == 0:
-        raise ValueError(
-            f"no stationary eigenvalue within {tol:.3e}; "
-            f"slowest is {dec.eigenvalues[0]:.6e}"
-        )
-    if idx.size > 1:
-        raise DegenerateStationaryStateError(dec.eigenvalues[idx])
-    v = dec.right[:, idx[0]]
-    if basis is Basis.PAULI:
-        d = 2
-    else:
-        d = math.isqrt(v.size)
-    tr = trace_form(d, basis) @ v
-    rho = devectorize(v / tr, basis)
-    if basis is Basis.ELEMENT:
-        # the physical state is Hermitian; symmetrize away roundoff
-        rho = 0.5 * (rho + rho.conj().T)
-    return rho
 
 
 @dataclass(frozen=True)
@@ -326,6 +178,7 @@ def propagate(
 
 
 _CHUNK_STEPS = 64
+MIN_STEPS = 64  # fewest RK4 steps per period that variational_monodromy accepts
 
 
 def _rk4(nodes: np.ndarray, h: float, y0: np.ndarray) -> np.ndarray:
@@ -368,14 +221,14 @@ def _integrate(nodes_at, period: float, steps: int, y: np.ndarray) -> np.ndarray
 
 
 def _check_steps(period: float, steps: int) -> None:
-    if steps < 64:
-        raise ValueError("steps must be at least 64")
+    if steps < MIN_STEPS:
+        raise ValueError(f"steps must be at least {MIN_STEPS}")
     if period <= 0:
         raise ValueError("period must be positive")
 
 
 def step_change(coarse: np.ndarray, fine: np.ndarray) -> float:
-    """Largest entry change of step-doubled propagators, over max(|fine|, 1)."""
+    """Largest entry change from the coarse to the step-halved propagator, over max(|fine|, 1)."""
     denom = max(float(np.abs(fine).max()), 1.0)
     return float(np.abs(fine - coarse).max() / denom)
 

@@ -119,6 +119,12 @@ class TestConfigErrors:
         assert result.exit_code == 2
         assert "model.kind" in result.output
 
+    def test_distribution_with_an_invalid_fft_size_exits_2(self, runner, tmp_path):
+        cfg = write(tmp_path, "bad.yaml", DIST_DOC.replace("n_fft: 1024", "n_fft: 100"))
+        result = runner.invoke(main, ["distribution", "--config", cfg])
+        assert result.exit_code == 2
+        assert "numerics.n_fft" in result.output
+
     def test_missing_config_for_plain_command(self, runner):
         result = runner.invoke(main, ["cumulants"])
         assert result.exit_code == 2

@@ -100,6 +100,38 @@ task: ClosedSystem
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize(
+    "extra, paths",
+    [
+        ("numerics:\n  n_fft: 100\n", "numerics.n_fft"),
+        ("numerics:\n  n_fft: 384\n", "numerics.n_fft"),
+        ("numerics:\n  steps: 32\n", "numerics.steps"),
+        ("distribution:\n  modes: [3]\n", "distribution.modes"),
+        ("distribution:\n  modes: [2, 2]\n", "distribution.modes"),
+        ("distribution:\n  modes: [1, 2]\n", "distribution.nbar distribution.sigma2"),
+        ("distribution:\n  modes: [1, 2]\n  nbar: [1.0, 2.0]\n", "distribution.sigma2"),
+        ("distribution:\n  modes: [1, 2]\n  law: poisson\n", "distribution.alphas"),
+    ],
+)
+def test_bounds_that_the_numerics_enforce_are_violations(extra, paths):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(MINIMAL + extra)
+    assert [v.split(":")[0] for v in exc.value.violations] == paths.split()
+
+
+def test_two_mode_distribution_with_matching_laws_parses():
+    s = parse_scenario(MINIMAL + """
+distribution:
+  modes: [1, 2]
+  nbar: [1000.0, 1000.0]
+  sigma2: [25.0, 25.0]
+numerics:
+  n_fft: 256
+  steps: 64
+""")
+    assert s.distribution.modes == (1, 2) and s.numerics.n_fft == 256
+
+
 def test_log_sweep_needs_positive_start():
     doc = MINIMAL + """
 task: Scan

@@ -9,10 +9,8 @@ import pytest
 
 from photonstats import counting
 from photonstats.counting import (
-    BranchCollisionError,
     CountingFields,
     Method,
-    asymptotic_mgf,
     conservation_check,
     cumulants,
     cumulants_charpoly,
@@ -23,12 +21,14 @@ from photonstats.counting import (
     gaussian_initial_mgf,
     initial_mgf,
     lambda0_nearest,
-    semiclassical_flux,
     spectral_gap,
-    track_lambda0,
-    validity_window,
 )
-from photonstats.models.jc import JaynesCummingsModel, JcParams, jc_exact_cumulants
+from photonstats.models.jc import (
+    JaynesCummingsModel,
+    JcParams,
+    jc_exact_cumulants,
+    jc_semiclassical_flux,
+)
 
 RNG = np.random.default_rng(5)
 
@@ -93,18 +93,6 @@ class TestSlowEigenvalue:
             b = lambda0_nearest(m, CountingFields((0.0, 0.0), (xi - chi,)))
             assert abs(a - b) < 1e-10
 
-    def test_track_matches_nearest_for_small_fields(self):
-        m = model(gamma=0.1)
-        f = CountingFields((0.01, 0.0), (0.0,))
-        assert track_lambda0(m, f) == pytest.approx(
-            lambda0_nearest(m, f), abs=1e-12
-        )
-
-    def test_track_rejects_gapless(self):
-        m = model(eps_delta=0.0, omega2=1.0, phi2=math.pi, gamma=0.0)
-        with pytest.raises(BranchCollisionError):
-            track_lambda0(m, CountingFields((0.5, 0.0), (0.0,)))
-
     def test_spectral_gap_scale(self):
         gap = spectral_gap(model(eps_delta=0.0, omega2=0.0, omega1=1.0, gamma=0.01))
         assert 0.0 < gap <= 4 * 0.01 + 1e-12
@@ -127,7 +115,10 @@ class TestMgf:
         f = CountingFields((0.02, 0.0), (0.0,))
         t = 400.0
         dyn = dynamical_mgf(m, f, rho0, t).value
-        asym = asymptotic_mgf(m, f, t).value
+        # [e^{lambda0(chi) t} + conj(e^{lambda0(-chi) t})] / 2
+        lam_p = lambda0_nearest(m, f)
+        lam_m = lambda0_nearest(m, f.negated_chi())
+        asym = (np.exp(lam_p * t) + np.conj(np.exp(lam_m * t))) / 2.0
         assert dyn == pytest.approx(asym, rel=1e-3)
 
 
@@ -213,25 +204,5 @@ class TestConservation:
     def test_semiclassical_flux_matches_counting(self):
         m = model(eps_delta=0.15, omega2=0.9, phi2=1.2, gamma=0.02)
         rep = cumulants_oracle(m, 1)
-        assert semiclassical_flux(m, 1) == pytest.approx(rep.flux, rel=1e-10)
+        assert jc_semiclassical_flux(m.params, 1) == pytest.approx(rep.flux, rel=1e-10)
 
-
-class TestValidityWindow:
-    def test_basic_bound(self):
-        w = validity_window(g=1.0, gamma=0.1, nbar=1e4, sigma=100.0, eps=0.1)
-        assert w.ok
-        assert w.bound == pytest.approx(
-            min(0.1 * 100.0**2 / 1.0, 0.1 * 1e4 / 1.0, 0.1 * 1e4 / 0.1)
-        )
-
-    def test_static_term_violation(self):
-        w = validity_window(g=1.0, gamma=0.0, nbar=100.0, sigma=90.0, eps=0.1)
-        assert not w.ok and w.bound == 0.0
-
-    def test_no_decay_is_unbounded(self):
-        w = validity_window(g=0.0, gamma=0.0, nbar=1e4, sigma=10.0, eps=0.1)
-        assert w.ok and math.isinf(w.bound)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            validity_window(1.0, 0.1, -1.0, 10.0, 0.1)

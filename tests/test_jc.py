@@ -1,12 +1,14 @@
 """Two-mode driven emitter: generator structure, oracles, quasienergies."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from photonstats.charpoly import char_poly
 from photonstats.counting import Method, cumulants
+from photonstats.distributions import closed_mgf
 from photonstats.models.jc import (
     JaynesCummingsModel,
     JcParams,
@@ -14,14 +16,13 @@ from photonstats.models.jc import (
     jc_closed_statistics,
     jc_dressed_quasienergies,
     jc_exact_cumulants,
-    jc_floquet_switching_noise,
     jc_flux_oracle,
     jc_liouvillian,
-    jc_quasienergies,
     jc_semiclassical_flux,
     jc_stationary_bloch,
     jc_weak_gamma_noise,
 )
+from photonstats.numdiff import central_derivative
 
 RNG = np.random.default_rng(9)
 
@@ -141,19 +142,6 @@ class TestNoise:
         assert values[-1] == pytest.approx(0.5, rel=1e-4)
         assert abs(values[2] - values[1]) < abs(values[1] - values[0])
 
-    def test_switching_heuristic(self):
-        p = JcParams(eps_delta=0.0, omega2=1.0, phi2=math.pi / 2, gamma=1e-3)
-        # heuristic scales as 1/gamma but differs from the weak-gamma law
-        # by a constant factor (exposed deliberately, not reconciled)
-        h1 = jc_floquet_switching_noise(p)
-        h2 = jc_floquet_switching_noise(
-            JcParams(eps_delta=0.0, omega2=1.0, phi2=math.pi / 2, gamma=1e-4)
-        )
-        assert h2 / h1 == pytest.approx(10.0, rel=1e-12)
-        assert h1 == pytest.approx(0.25 / p.gamma, rel=1e-12)
-        with pytest.raises(ValueError):
-            jc_floquet_switching_noise(JcParams(eps_delta=0.5))
-
 
 class TestTurnovers:
     def test_flux_changes_sign_at_zero_detuning(self):
@@ -192,21 +180,21 @@ class TestTurnovers:
 class TestQuasienergies:
     def test_single_drive(self):
         p = JcParams(eps_delta=0.3, omega1=1.2, omega2=0.0)
-        e1, e2 = jc_quasienergies(p)
-        assert e2 == pytest.approx(0.5 * math.hypot(0.3, 1.2))
+        e1, e2 = jc_dressed_quasienergies(p)
+        assert e2 == pytest.approx(0.5 * math.hypot(0.3, 2.4))
         assert e1 == -e2
 
     def test_degenerate_at_opposite_phases(self):
         p = JcParams(eps_delta=0.0, omega1=1.0, omega2=1.0, phi2=math.pi)
-        assert jc_quasienergies(p) == (0.0, 0.0)
+        assert jc_dressed_quasienergies(p) == (0.0, 0.0)
 
     def test_counting_derivative(self):
         p = JcParams(eps_delta=0.0, omega1=1.0, omega2=1.0, phi2=math.pi / 2)
         h = 1e-6
-        e_p = jc_quasienergies(p, (h, 0.0))
-        e_m = jc_quasienergies(p, (-h, 0.0))
+        e_p = jc_dressed_quasienergies(p, (h, 0.0))
+        e_m = jc_dressed_quasienergies(p, (-h, 0.0))
         d2 = (e_p[1] - e_m[1]) / (2 * h)
-        assert d2 == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), rel=1e-6)
+        assert d2 == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-6)
 
     def test_dressed_variant_doubles_drive(self):
         p = JcParams(eps_delta=0.5, omega1=0.7, omega2=0.4, phi2=0.3)
@@ -231,7 +219,24 @@ class TestClosedStatistics:
         m1, _ = jc_closed_statistics(self.BAL, (1.0, 0.0), 1, 5.0)
         m2, _ = jc_closed_statistics(self.BAL, (0.0, 1.0), 1, 5.0)
         assert m1 == pytest.approx(-m2)
-        assert abs(m1) == pytest.approx(5.0 / (2.0 * math.sqrt(2.0)), rel=1e-12)
+        assert abs(m1) == pytest.approx(5.0 / math.sqrt(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.8, 0.2)])
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_moments_are_log_mgf_derivatives(self, eps, weights, mode):
+        p = replace(self.BAL, eps_delta=eps)
+        t = 5.0
+
+        def log_mgf(x):
+            chi = (x, 0.0) if mode == 1 else (0.0, x)
+            return np.log(closed_mgf(p, weights, chi, t))
+
+        mean, var = jc_closed_statistics(p, weights, mode, t)
+        d1 = central_derivative(log_mgf, 1, 1e-3).value
+        d2 = central_derivative(log_mgf, 2, 1e-3).value
+        assert mean == pytest.approx((1j * d1).real, rel=1e-8)
+        assert var == pytest.approx((-d2).real, rel=1e-6, abs=1e-8)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):

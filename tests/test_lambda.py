@@ -101,12 +101,6 @@ class TestGenerator:
         with pytest.raises(ValueError):
             m.dressed_liouvillian((0.1,), (0.0,))
 
-    def test_rwa_guard(self):
-        bad = LambdaParams(gamma=100.0)
-        with pytest.raises(ValueError):
-            LambdaModel(bad, require_rwa=True)
-        LambdaModel(bad)  # advisory only by default
-
 
 class TestFieldFreeParts:
     """The field-free parts that ``LambdaModel`` builds once per instance."""

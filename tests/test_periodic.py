@@ -17,11 +17,10 @@ from photonstats.config import ScenarioError, parse_scenario
 from photonstats.counting import (
     CountingFields,
     Method,
-    _fields_for,
     _pseudo_inverse_rates,
     cumulants,
-    degree_one_derivatives,
     dynamical_mgf,
+    field_derivatives,
 )
 from photonstats.models import lambda_system
 from photonstats.models.lambda_system import (
@@ -174,11 +173,10 @@ def test_variational_propagator_matches_finite_differences():
     model = LambdaPeriodicModel(p, check_tol=None)
     model.cutoff = 24
 
-    def harmonics(x):
-        return model.time_harmonics((0.0, x), (0.0,))[1]
-
-    orders = model.time_harmonics((0.0, 0.0), (0.0,))[0]
-    derivs = np.stack(degree_one_derivatives(harmonics)[:3])
+    orders, _ = model.time_harmonics((0.0, 0.0), (0.0,))
+    derivs = np.stack(
+        field_derivatives(model, 2, lambda chi, xi: model.time_harmonics(chi, xi)[1])[:3]
+    )
     u, du, d2u = variational_monodromy(orders, derivs, model.period, 512)
     d = 1e-3
     u0, up, um = (
@@ -249,11 +247,7 @@ def test_truncation_check_matches_the_route_at_both_cutoffs(r, omega_delta):
 
 def dense_bordered_rates(model, selector):
     """(flux, noise) and eps * cond_1(B) from the dense bordered inverse of the Sambe generator."""
-    def generator(x):
-        fields = _fields_for(model, selector, x)
-        return model.dressed_liouvillian(fields.chi, fields.xi)
-
-    l0, l1, l2, _ = degree_one_derivatives(generator)
+    l0, l1, l2, _ = field_derivatives(model, selector, model.dressed_liouvillian)
     [rates], cond_error = _pseudo_inverse_rates(l0, model.trace_vector(), [(l1, l2)])
     return rates, cond_error
 
@@ -310,6 +304,24 @@ def test_fig4_point_factors_once_per_cutoff(monkeypatch):
     assert row[6] == ""
     cutoff = LambdaPeriodicModel(params).cutoff
     assert shapes == [(-(-(2 * m + 1) // 2), 18, 18) for m in (cutoff, cutoff + 4)]
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_fig4_point_samples_the_harmonics_once_per_mode(monkeypatch, r):
+    # four field samples for each drive mode; the cutoff check, both
+    # factorizations and the route share them
+    calls = []
+    original = LambdaPeriodicModel.time_harmonics
+
+    def counted(self, chi, xi):
+        calls.append((chi, xi))
+        return original(self, chi, xi)
+
+    monkeypatch.setattr(LambdaPeriodicModel, "time_harmonics", counted)
+    params = LambdaParams(r=r).with_detuning(2.0)
+    scenario = replace(parse_scenario("model:\n  kind: lambda\n"), model_params=params)
+    assert cli._fig4_point(scenario)[6] == ""
+    assert len(calls) == 8
 
 
 def test_fig4_numeric_columns_match_rk4_without_running_it(tmp_path, monkeypatch):
