@@ -32,6 +32,7 @@ from .counting import (
     Method,
     conservation_check,
     cumulants,
+    cumulants_many,
     dynamical_mgf,
 )
 from .distributions import (
@@ -91,24 +92,42 @@ def _map_points(fn, payloads: list, threads: int) -> list:
 
 _SCAN_COLUMNS = [
     "I_1", "sigma2_1", "snr_1", "I_2", "sigma2_2", "snr_2",
-    "method", "stencil_error", "error",
+    "method", "stencil_error", "flagged", "error",
 ]
+# points per sweep chunk, whose PseudoInverse solves are stacked: fixed, so
+# the bytes do not depend on --threads; small, so the stacked samples and
+# their transforms (about 40 KiB per lambda point) leave the peak memory of
+# a sweep flat, and far below the 256-entry Bessel-factor cache of the
+# lambda model
+_CHUNK = 16
 
 
-def _scan_point(scenario: Scenario):
-    """Worker: cumulant reports for both drive modes at one grid point."""
-    model, method = build_model(scenario), scenario.method
-    try:
-        reports = [
-            cumulants(model, k, method=method, h=scenario.numerics.h) for k in (1, 2)
-        ]
-    except Exception as exc:  # recorded per-point, scan continues
-        return (math.nan,) * 6 + (method.value, math.nan, f"{type(exc).__name__}: {exc}")
+def _scan_row(method: Method, outcome) -> tuple:
+    """Both drive modes' values, then provenance and the error cell."""
+    if isinstance(outcome, Exception):
+        return (math.nan,) * 6 + (
+            method.value, math.nan, math.nan, f"{type(outcome).__name__}: {outcome}"
+        )
     values = []
-    for rep in reports:
+    for rep in outcome:
         values.extend([rep.flux, rep.noise, rep.snr])
-    err = max(rep.stencil_error for rep in reports)
-    return tuple(values) + (method.value, err, "")
+    err = max(rep.stencil_error for rep in outcome)
+    return tuple(values) + (method.value, err, int(err > _STENCIL_FLAG_RTOL), "")
+
+
+def _scan_rows(chunk: list[Scenario]) -> list[tuple]:
+    """Worker: one row per point of a chunk; a point whose model cannot be
+    built or whose cumulants fail is recorded, and the chunk continues."""
+    method, h = chunk[0].method, chunk[0].numerics.h
+    built, models = [], []
+    for scenario in chunk:
+        try:
+            models.append(build_model(scenario))
+            built.append(None)
+        except Exception as exc:  # recorded per point
+            built.append(exc)
+    reports = iter(cumulants_many(models, (1, 2), method, h))
+    return [_scan_row(method, next(reports) if exc is None else exc) for exc in built]
 
 
 def _sweeps(scenario: Scenario):
@@ -117,14 +136,15 @@ def _sweeps(scenario: Scenario):
     return scenario.sweeps
 
 
-def _run_sweep(scenario: Scenario, sweep, path: str, point, header: list[str],
+def _run_sweep(scenario: Scenario, sweep, path: str, rows_of, header: list[str],
                key) -> bool:
     """Write one sweep's CSV; True when some point failed.
 
     Every grid value, repeated for each repeat value, is one row:
-    ``key(x, repeat_value, params)`` and then the values that ``point``
-    returns for the scenario with that row's model parameters.  A nonempty
-    ``error`` cell marks a failed point.
+    ``key(x, repeat_value, params)`` and then the values that
+    ``rows_of(chunk)`` returns for the scenario with that row's model
+    parameters, where the grid is cut into chunks of ``_CHUNK`` points.  A
+    nonempty ``error`` cell marks a failed point.
     """
     grid = []
     for rv in sweep.repeat_values or (None,):
@@ -133,7 +153,11 @@ def _run_sweep(scenario: Scenario, sweep, path: str, point, header: list[str],
             base = apply_sweep_value(base, sweep.repeat_param, rv)
         grid += [(x, rv, apply_sweep_value(base, sweep.variable, x)) for x in sweep.grid()]
     payloads = [replace(scenario, model_params=params) for _, _, params in grid]
-    results = _map_points(point, payloads, scenario.numerics.threads)
+    chunks = [payloads[i:i + _CHUNK] for i in range(0, len(payloads), _CHUNK)]
+    results = [
+        row for rows in _map_points(rows_of, chunks, scenario.numerics.threads)
+        for row in rows
+    ]
     rows = [key(x, rv, params) + list(res) for (x, rv, params), res in zip(grid, results)]
     _write_csv(path, header, rows)
     click.echo(f"wrote {path} ({len(rows)} rows)")
@@ -143,14 +167,14 @@ def _run_sweep(scenario: Scenario, sweep, path: str, point, header: list[str],
 
 def _sweep_command(name: str, default_resource: str | None, config, out, threads,
                    method) -> None:
-    """scan, fig2, fig5: every sweep through :func:`_scan_point`."""
+    """scan, fig2, fig5: every sweep through :func:`_scan_rows`."""
     scenario = _overrides(_load(config, default_resource), method, threads)
     failed = False
     for sweep in _sweeps(scenario):
         header = ["sweep_value"] + ([sweep.repeat_param] if sweep.repeat_param else [])
         path = _sweep_output_path(scenario, sweep, out, name)
         failed |= _run_sweep(
-            scenario, sweep, path, _scan_point, header + _SCAN_COLUMNS,
+            scenario, sweep, path, _scan_rows, header + _SCAN_COLUMNS,
             lambda x, rv, params: [x] if rv is None else [x, rv],
         )
     sys.exit(EXIT_PARTIAL if failed else EXIT_OK)
@@ -481,7 +505,7 @@ def fig4(config, out, threads, method):
         _require_kind(scenario, "lambda", "fig4")
         path = _single_output_path(out, scenario.output, "fig4.csv") or "fig4.csv"
         failed = _run_sweep(
-            scenario, _sweeps(scenario)[0], path, _fig4_point, _FIG4_HEADER,
+            scenario, _sweeps(scenario)[0], path, _fig4_rows, _FIG4_HEADER,
             lambda x, rv, params: [x, params.r],
         )
         sys.exit(EXIT_PARTIAL if failed else EXIT_OK)
@@ -530,6 +554,10 @@ def _fig4_point(scenario: Scenario):
         pt.flux, pt.noise, pt.snr, num.flux, num.noise, num.snr, "",
         pt.stencil_error, int(pt.flagged), err, int(err > _STENCIL_FLAG_RTOL),
     )
+
+
+def _fig4_rows(chunk: list[Scenario]) -> list[tuple]:
+    return [_fig4_point(scenario) for scenario in chunk]
 
 
 @main.command()

@@ -6,10 +6,11 @@ noise reports by differentiation at zero counting fields.  The default
 route, PseudoInverse, differentiates lambda_0 exactly through the
 pseudo-inverse of the generator.  Optional model
 hooks serve the other routes: ``tagged_terms(chi, xi)`` PerturbationTheory,
-``time_harmonics(chi, xi)`` PeriodicNumeric (which differentiates the slow
-Floquet multiplier exactly) and ``oracle_cumulants(selector)``
+``harmonic_derivatives(selector)`` PeriodicNumeric (which differentiates
+the slow Floquet multiplier exactly) and ``oracle_cumulants(selector)``
 AnalyticOracle; ``pseudo_inverse_rates(selector)`` lets a structured
-model serve PseudoInverse.  The engine imports no model.
+model serve PseudoInverse.  :func:`cumulants_many` serves a sweep, stacking
+the PseudoInverse solves of many dense models.  The engine imports no model.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ __all__ = [
     "cumulants_oracle",
     "cumulants_periodic",
     "cumulants_pseudo_inverse",
+    "cumulants_many",
     "conservation_check",
 ]
 
@@ -485,28 +487,46 @@ def field_derivatives(
     return samples[0], d1, d2, share
 
 
-def _pseudo_inverse_rates(l0, trace, derivatives) -> tuple[list[tuple[float, float]], float]:
-    """(flux, noise) per (L', L'') pair and eps * cond_1(B), from one bordered inverse."""
-    dim = l0.shape[0]
-    bordered = np.zeros((dim + 1, dim + 1), dtype=complex)
-    bordered[:dim, :dim] = l0
-    bordered[:dim, dim] = np.conj(trace)
-    bordered[dim, :dim] = trace
+def _pseudo_inverse_rates(l0, trace, l1, l2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flux and noise of shape (n, K) and eps * cond_1(B) of shape (n,).
+
+    ``l0`` stacks n zero-field generators (n, d, d), ``trace`` their left
+    null vectors (n, d), and ``l1``, ``l2`` K field-derivative pairs per
+    generator (n, K, d, d).  One stacked inverse of the bordered matrices
+    serves every pair; a singular one raises ``DegenerateRootError``.
+    """
+    n, dim = l0.shape[:2]
+    bordered = np.zeros((n, dim + 1, dim + 1), dtype=complex)
+    bordered[:, :dim, :dim] = l0
+    bordered[:, :dim, dim] = np.conj(trace)
+    bordered[:, dim, :dim] = trace
     try:
         inverse = np.linalg.inv(bordered)
     except np.linalg.LinAlgError as exc:
         raise DegenerateRootError(
             "the bordered generator is singular: the stationary state is not unique"
         ) from exc
-    r = inverse[:dim, dim]
-    rates = []
-    for l1, l2 in derivatives:
-        lam1 = trace @ l1 @ r
-        x = inverse[:dim, :dim] @ (l1 @ r - lam1 * r)
-        lam2 = trace @ l2 @ r - 2.0 * (trace @ l1 @ x)
-        rates.append((float((1j * lam1).real), float((-lam2).real)))
-    cond = np.abs(bordered).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()
-    return rates, float(np.finfo(float).eps * cond)
+    r = inverse[:, None, :dim, dim, None]  # (n, 1, d, 1)
+    left = trace[:, None, None, :]  # (n, 1, 1, d)
+    left_l1 = left @ l1
+    lam1 = left_l1 @ r
+    x = inverse[:, None, :dim, :dim] @ (l1 @ r - lam1 * r)
+    lam2 = left @ l2 @ r - 2.0 * (left_l1 @ x)
+    cond = np.abs(bordered).sum(axis=1).max(axis=1) * np.abs(inverse).sum(axis=1).max(axis=1)
+    flux, noise = (1j * lam1[..., 0, 0]).real, (-lam2[..., 0, 0]).real
+    return flux, noise, np.finfo(float).eps * cond
+
+
+def _pseudo_inverse_report(selector: Selector, flux, noise, err) -> CumulantReport:
+    return CumulantReport(
+        mode=selector,
+        flux=float(flux),
+        noise=float(noise),
+        method=Method.PSEUDO_INVERSE,
+        h=0.0,
+        stencil_error=float(err),
+        flagged=bool(err > _STENCIL_FLAG_RTOL),
+    )
 
 
 def cumulants_pseudo_inverse(
@@ -528,26 +548,98 @@ def cumulants_pseudo_inverse(
     load further LAPACK code and raise a sweep's peak memory by 1 MiB.)
     A model with structure the dense inverse ignores serves the route
     itself through ``pseudo_inverse_rates(selector)``, which returns
-    (flux, noise, error estimate).
+    (flux, noise, error estimate).  :func:`cumulants_many` stacks the same
+    kernel over many models.
     """
     _check_order(order)
     _refuse_step(Method.PSEUDO_INVERSE, h)
     if hasattr(model, "pseudo_inverse_rates"):
-        flux, noise, err = model.pseudo_inverse_rates(selector)
-    else:
-        l0, l1, l2, share = field_derivatives(model, selector, model.dressed_liouvillian)
-        trace = model.trace_vector()
-        [(flux, noise)], cond_error = _pseudo_inverse_rates(l0, trace, [(l1, l2)])
-        err = max(share, cond_error)
-    return CumulantReport(
-        mode=selector,
-        flux=flux,
-        noise=noise,
-        method=Method.PSEUDO_INVERSE,
-        h=0.0,
-        stencil_error=err,
-        flagged=err > _STENCIL_FLAG_RTOL,
+        return _pseudo_inverse_report(selector, *model.pseudo_inverse_rates(selector))
+    l0, l1, l2, share = field_derivatives(model, selector, model.dressed_liouvillian)
+    flux, noise, cond_error = _pseudo_inverse_rates(
+        l0[None], model.trace_vector()[None], l1[None, None], l2[None, None]
     )
+    return _pseudo_inverse_report(selector, flux[0, 0], noise[0, 0], max(share, cond_error[0]))
+
+
+def _stacked_pseudo_inverse(models, selectors) -> list:
+    """PseudoInverse reports of every selector for each dense model, from
+    1 + 3K generator samples per model (the zero-field one is shared) and
+    one stacked bordered inverse; None for a model to redo alone: one whose
+    sampling fails or whose generator dimension differs from the first
+    model's, or with a Nyquist share above tolerance."""
+    fields = [
+        [_fields_for(models[0], s, 2.0 * math.pi * j / 4) for j in range(4)]
+        for s in selectors
+    ]
+    samples = traces = None  # (4, n, K, d, d) and (n, d), filled in place
+    kept = []
+    for i, model in enumerate(models):
+        try:
+            l0 = model.dressed_liouvillian(fields[0][0].chi, fields[0][0].xi)
+            if samples is None:
+                samples = np.empty((4, len(models), len(fields)) + l0.shape, dtype=complex)
+                traces = np.empty((len(models), l0.shape[0]), dtype=complex)
+            n = len(kept)
+            samples[0, n] = l0
+            for k, row in enumerate(fields):
+                for j in range(1, 4):
+                    samples[j, n, k] = model.dressed_liouvillian(row[j].chi, row[j].xi)
+            traces[n] = model.trace_vector()
+        except Exception:  # redone alone, which raises as the single route does
+            continue
+        kept.append(i)
+    results: list = [None] * len(models)
+    if not kept:
+        return results
+    samples, traces = samples[:, : len(kept)], traces[: len(kept)]
+    coeffs, _, d1, d2 = fourier_derivatives(samples)
+    share = np.abs(coeffs[2]).max(axis=(-2, -1)) / np.maximum(
+        np.abs(samples).max(axis=(0, -2, -1)), 1e-300
+    )
+    flux, noise, cond_error = _pseudo_inverse_rates(samples[0, :, 0], traces, d1, d2)
+    err = np.maximum(share, cond_error[:, None])
+    for n, i in enumerate(kept):
+        if share[n].max() <= _NYQUIST_RTOL:
+            results[i] = [
+                _pseudo_inverse_report(s, flux[n, k], noise[n, k], err[n, k])
+                for k, s in enumerate(selectors)
+            ]
+    return results
+
+
+def cumulants_many(
+    models: Sequence,
+    selectors: Sequence[Selector],
+    method: Method = DEFAULT_METHOD,
+    h: float | None = None,
+) -> list[list[CumulantReport] | Exception]:
+    """For each model, the reports of every selector or the exception that
+    refused it, as :func:`cumulants` gives them model by model.
+
+    PseudoInverse without a step is stacked over the models that serve no
+    ``pseudo_inverse_rates`` hook: every model is sampled once at zero field
+    and three times per selector, and one stacked bordered inverse serves
+    all models and selectors.  When a stacked inverse is singular, every
+    model is redone alone, so only the degenerate one carries the error.
+    Other models and methods loop over :func:`cumulants`.
+    """
+    results: list = [None] * len(models)
+    dense = [i for i, m in enumerate(models) if not hasattr(m, "pseudo_inverse_rates")]
+    if method is Method.PSEUDO_INVERSE and h is None and dense:
+        try:
+            stacked = _stacked_pseudo_inverse([models[i] for i in dense], selectors)
+        except DegenerateRootError:
+            stacked = [None] * len(dense)
+        for i, reports in zip(dense, stacked):
+            results[i] = reports
+    for i, model in enumerate(models):
+        if results[i] is None:
+            try:
+                results[i] = [cumulants(model, s, method=method, h=h) for s in selectors]
+            except Exception as exc:  # the caller records it per model
+                results[i] = exc
+    return results
 
 
 def cumulants_periodic(
@@ -556,24 +648,22 @@ def cumulants_periodic(
     """Flux and noise of a time-periodic model from its slow Floquet multiplier.
 
     The one-period propagator and its exact first two field derivatives come
-    from one RK4 pass over the variational system; the field derivatives of
-    the model's time harmonics are exact (4-point Fourier sampling).  The
-    pass is repeated with ``2 * model.steps`` steps: the finer estimate is
-    returned, its relative change in (flux, noise) is the reported
-    ``stencil_error``, and a propagator change beyond ``model.check_tol``
-    raises :class:`~photonstats.superop.StepConvergenceError`.
+    from one RK4 pass over the variational system; the model's
+    ``harmonic_derivatives(selector)`` gives its harmonic orders, its time
+    harmonics and their exact field derivatives (4-point Fourier sampling,
+    once per selector).  The pass is repeated with ``2 * model.steps``
+    steps: the finer estimate is returned, its relative change in
+    (flux, noise) is the reported ``stencil_error``, and a propagator change
+    beyond ``model.check_tol`` raises
+    :class:`~photonstats.superop.StepConvergenceError`.
     """
     _check_order(order)
     _refuse_step(Method.PERIODIC_NUMERIC, h)
-    if not hasattr(model, "time_harmonics"):
+    if not hasattr(model, "harmonic_derivatives"):
         raise NotImplementedError(
             f"{type(model).__name__} is not a time-periodic model"
         )
-    zero = _fields_for(model, selector, 0.0)
-    orders = model.time_harmonics(zero.chi, zero.xi)[0]
-    h0, d1, d2, _ = field_derivatives(
-        model, selector, lambda chi, xi: model.time_harmonics(chi, xi)[1]
-    )
+    orders, h0, d1, d2, _ = model.harmonic_derivatives(selector)
     derivs = np.stack((h0, d1, d2))
     passes = []
     for steps in (model.steps, 2 * model.steps):

@@ -524,24 +524,25 @@ class LambdaPeriodicModel:
         orders, mats = self.time_harmonics(chi, xi)
         return _sambe(orders, mats, self.cutoff, self.params.omega_d)
 
-    def _field_derivatives(self, selector):
-        """Harmonics at zero field, their exact field derivatives along
-        ``selector`` and the Nyquist share, sampled once per selector; the
-        sampling also records the harmonic ``orders``."""
+    def harmonic_derivatives(self, selector):
+        """PeriodicNumeric hook: the harmonic ``orders``, the harmonics at
+        zero field, their exact field derivatives along ``selector`` and the
+        Nyquist share, sampled once per selector and shared with the Sambe
+        route and its cutoff check."""
         if selector not in self._derivatives:
             def harmonics(chi, xi) -> np.ndarray:
                 self._orders, mats = self.time_harmonics(chi, xi)
                 return mats
 
             self._derivatives[selector] = field_derivatives(self, selector, harmonics)
-        return self._derivatives[selector]
+        return (self._orders, *self._derivatives[selector])
 
     def _shifted_sambe(self, cutoff: int) -> _ShiftedSambe:
         """The factored shifted generator at ``cutoff``, built once per cutoff
         from the zero-field harmonics of the mode-1 samples."""
         if cutoff not in self._shifted:
-            l0 = self._field_derivatives(1)[0]
-            self._shifted[cutoff] = _ShiftedSambe(self._orders, l0, cutoff, self.params.omega_d)
+            orders, l0 = self.harmonic_derivatives(1)[:2]
+            self._shifted[cutoff] = _ShiftedSambe(orders, l0, cutoff, self.params.omega_d)
         return self._shifted[cutoff]
 
     def pseudo_inverse_rates(self, selector) -> tuple[float, float, float]:
@@ -555,7 +556,7 @@ class LambdaPeriodicModel:
         block LU does not pivot across blocks).
         """
         self._check_cutoff()
-        _, d1, d2, share = self._field_derivatives(selector)
+        _, _, d1, d2, share = self.harmonic_derivatives(selector)
         shifted = self._shifted_sambe(self.cutoff)
         [(flux, noise)], residual = shifted.rates([(d1, d2)])
         return flux, noise, max(share, shifted.cond_error, residual)
@@ -565,7 +566,7 @@ class LambdaPeriodicModel:
         """Largest relative change of drive-mode flux or noise from
         ``cutoff`` to ``cutoff + 4``, computed once per cutoff."""
         if self._truncation is None or self._truncation[0] != self.cutoff:
-            pairs = [self._field_derivatives(mode)[1:3] for mode in (1, 2)]
+            pairs = [self.harmonic_derivatives(mode)[2:4] for mode in (1, 2)]
             coarse, fine = (
                 np.array(self._shifted_sambe(self.cutoff + extra).rates(pairs)[0])
                 for extra in (0, 4)

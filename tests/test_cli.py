@@ -1,6 +1,9 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import csv
 import json
+import math
+from importlib import resources
 
 import pytest
 from click.testing import CliRunner
@@ -140,7 +143,7 @@ class TestScanCommand:
         lines = (out / "scan_eps_delta.csv").read_text().splitlines()
         assert lines[0] == (
             "sweep_value,phi2,I_1,sigma2_1,snr_1,I_2,sigma2_2,snr_2,"
-            "method,stencil_error,error"
+            "method,stencil_error,flagged,error"
         )
         assert len(lines) == 1 + 5 * 2  # grid x repeat values
 
@@ -221,10 +224,17 @@ def test_figure_commands_refuse_bad_configurations(runner, tmp_path, command, do
     assert not list(tmp_path.glob("*.csv"))
 
 
+# 160 points on the default route: the stacked chunks cut the grid mid-sweep
+LONG_SCAN_DOC = SCAN_DOC.replace("method: AnalyticOracle\n", "").replace(
+    "points: 5", "points: 80"
+)
+
+
 @pytest.mark.parametrize(
     "command, doc, name",
     [
         ("scan", SCAN_DOC, "scan_eps_delta.csv"),
+        ("scan", LONG_SCAN_DOC, "scan_eps_delta.csv"),
         ("fig4", LAMBDA_MODEL + DETUNING_SWEEP, "fig4.csv"),
     ],
 )
@@ -259,3 +269,28 @@ def test_fig3_writes_nothing_when_only_the_joint_window_overflows(runner, tmp_pa
     assert result.exit_code == 2, result.output
     assert "suggested N = 512" in result.stderr
     assert not list(tmp_path.glob("fig3_*.csv"))
+
+
+@pytest.mark.parametrize("method", ["", "method: AnalyticOracle\n"])
+def test_a_point_whose_model_cannot_be_built_gets_an_error_row(runner, tmp_path, method):
+    # omega_p1 / omega_d above 50 is outside the Bessel range of the model
+    doc = (
+        resources.files("photonstats.scenarios").joinpath("fig5.yaml").read_text()
+        .replace("method: AnalyticOracle\n", method)
+        .replace("start: 0.0\n  stop: 320.0\n  points: 161", "start: 1960.0\n  stop: 2120.0\n  points: 5")
+    )
+    cfg = write(tmp_path, "s.yaml", doc)
+    result = runner.invoke(main, ["scan", "--config", cfg, "--out", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    with open(tmp_path / "scan_amplitude.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 10
+    for row in rows:
+        if float(row["sweep_value"]) / 40.0 > 50.0:
+            assert row["error"].startswith("ValueError: |x| = ")
+            assert "exceeds supported range 50.0" in row["error"]
+            assert row["I_2"] == row["flagged"] == "nan"
+        else:
+            assert row["error"] == "" and row["flagged"] == "0"
+            assert math.isfinite(float(row["I_2"]))
+    assert sum(bool(row["error"]) for row in rows) == 6

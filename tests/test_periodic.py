@@ -248,8 +248,10 @@ def test_truncation_check_matches_the_route_at_both_cutoffs(r, omega_delta):
 def dense_bordered_rates(model, selector):
     """(flux, noise) and eps * cond_1(B) from the dense bordered inverse of the Sambe generator."""
     l0, l1, l2, _ = field_derivatives(model, selector, model.dressed_liouvillian)
-    [rates], cond_error = _pseudo_inverse_rates(l0, model.trace_vector(), [(l1, l2)])
-    return rates, cond_error
+    flux, noise, cond_error = _pseudo_inverse_rates(
+        l0[None], model.trace_vector()[None], l1[None, None], l2[None, None]
+    )
+    return (flux[0, 0], noise[0, 0]), cond_error[0]
 
 
 # the six floquet-periodic points and the fig5 end point (M = 20, 2M + 1 odd
@@ -322,6 +324,28 @@ def test_fig4_point_samples_the_harmonics_once_per_mode(monkeypatch, r):
     scenario = replace(parse_scenario("model:\n  kind: lambda\n"), model_params=params)
     assert cli._fig4_point(scenario)[6] == ""
     assert len(calls) == 8
+
+
+def test_periodic_numeric_reads_the_cached_harmonic_samples(monkeypatch):
+    # two PeriodicNumeric reports take four field samples per mode and no
+    # further build of the harmonics, with the numbers of a fresh model
+    calls = []
+    original = LambdaPeriodicModel.time_harmonics
+
+    def counted(self, chi, xi):
+        calls.append((chi, xi))
+        return original(self, chi, xi)
+
+    params = LambdaParams(r=2).with_detuning(2.0)
+    fresh = [
+        cumulants(LambdaPeriodicModel(params, steps=512), mode, method=Method.PERIODIC_NUMERIC)
+        for mode in (1, 2)
+    ]
+    monkeypatch.setattr(LambdaPeriodicModel, "time_harmonics", counted)
+    model = LambdaPeriodicModel(params, steps=512)
+    reports = [cumulants(model, mode, method=Method.PERIODIC_NUMERIC) for mode in (1, 2)]
+    assert len(calls) == 8
+    assert reports == fresh
 
 
 def test_fig4_numeric_columns_match_rk4_without_running_it(tmp_path, monkeypatch):

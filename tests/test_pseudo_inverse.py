@@ -1,22 +1,31 @@
 """PseudoInverse: exact static cumulants from the pseudo-inverse of the generator."""
 
+import csv
 import math
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from test_acceptance import LAMBDA_PARAM_SETS, probe_sweep_grid
 
 from photonstats.charpoly import DegenerateRootError
+from photonstats.cli import build_model, main
 from photonstats.config import apply_sweep_value, parse_scenario
 from photonstats.counting import (
     DEFAULT_METHOD,
     Method,
     conservation_check,
     cumulants,
+    cumulants_many,
 )
 from photonstats.models.jc import JaynesCummingsModel, JcParams, jc_exact_cumulants
-from photonstats.models.lambda_system import LambdaModel, LambdaParams
+from photonstats.models.lambda_system import (
+    LambdaModel,
+    LambdaParams,
+    LambdaPeriodicModel,
+)
 
 def fig5_params(r, omega_p1):
     """A point of the bundled fig5 amplitude sweep."""
@@ -103,3 +112,85 @@ def test_degenerate_stationary_state_is_refused():
     m = JaynesCummingsModel(JcParams(eps_delta=0.0, omega2=1.0, phi2=math.pi, gamma=0.0))
     with pytest.raises(DegenerateRootError):
         cumulants(m, 1, method=Method.PSEUDO_INVERSE)
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig5"])
+def test_stacked_sweep_matches_per_point_cumulants(tmp_path, name):
+    # every point of the bundled grid on the default route, against cumulants()
+    text = resources.files("photonstats.scenarios").joinpath(f"{name}.yaml").read_text()
+    doc = text.replace("method: AnalyticOracle\n", "")
+    assert doc != text
+    (tmp_path / "s.yaml").write_text(doc)
+    result = CliRunner().invoke(
+        main, ["scan", "--config", str(tmp_path / "s.yaml"), "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 0, result.output
+    scenario = parse_scenario(doc)
+    columns = ("I_1", "sigma2_1", "I_2", "sigma2_2")
+    for sweep in scenario.sweeps:
+        with open(tmp_path / f"scan_{sweep.name}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        expected = []
+        for rv in sweep.repeat_values:
+            base = apply_sweep_value(scenario.model_params, sweep.repeat_param, rv)
+            for x in sweep.grid():
+                model = build_model(
+                    replace(scenario, model_params=apply_sweep_value(base, sweep.variable, x))
+                )
+                reports = [cumulants(model, mode) for mode in (1, 2)]
+                expected.append([v for rep in reports for v in (rep.flux, rep.noise)])
+        assert len(rows) == len(expected)
+        assert not any(row["error"] for row in rows)
+        got = np.array([[float(row[c]) for c in columns] for row in rows])
+        expected = np.array(expected)
+        scale = np.abs(expected).max(axis=0)
+        assert (np.abs(got - expected) <= 1e-15 * scale).all()
+
+
+class Frozen(JaynesCummingsModel):
+    """A zero generator: every state is stationary, the bordered matrix singular."""
+
+    def dressed_liouvillian(self, chi, xi):
+        return np.zeros((4, 4), dtype=complex)
+
+
+class DoubleChargeJc(JaynesCummingsModel):
+    def dressed_liouvillian(self, chi, xi):
+        return super().dressed_liouvillian(chi, xi) * np.exp(2j * chi[0])
+
+
+class Broken(JaynesCummingsModel):
+    def dressed_liouvillian(self, chi, xi):
+        raise RuntimeError("no generator here")
+
+
+JC_CHUNK = [JcParams(eps_delta=e, gamma=g) for e, g in ((-0.5, 0.1), (0.2, 1e-3), (0.9, 0.05))]
+
+
+@pytest.mark.parametrize(
+    "odd, error",
+    [
+        (Frozen, "DegenerateRootError: the bordered generator is singular"),
+        (DoubleChargeJc, "ValueError: generator is not of trigonometric degree 1"),
+        (Broken, "RuntimeError: no generator here"),
+    ],
+)
+def test_a_failing_model_mid_chunk_fails_alone(odd, error):
+    models = [JaynesCummingsModel(p) for p in JC_CHUNK]
+    models.insert(1, odd(JcParams()))
+    results = cumulants_many(models, (1, 2))
+    assert f"{type(results[1]).__name__}: {results[1]}".startswith(error)
+    for model, reports in zip(models[::2] + models[3:], results[::2] + results[3:]):
+        assert reports == [cumulants(model, mode) for mode in (1, 2)]
+
+
+def test_many_loops_over_other_methods_and_structured_models():
+    jc = JaynesCummingsModel(JcParams())
+    periodic = LambdaPeriodicModel(LambdaParams(r=1).with_detuning(2.0))
+    assert cumulants_many([jc], ("bath",), Method.CHARPOLY) == [
+        [cumulants(jc, "bath", method=Method.CHARPOLY)]
+    ]
+    [reports] = cumulants_many([periodic], (1, 2))
+    assert reports == [cumulants(periodic, mode) for mode in (1, 2)]
+    [refused] = cumulants_many([jc], (1,), h=1e-3)
+    assert isinstance(refused, ValueError) and "stencil step" in str(refused)
