@@ -207,3 +207,182 @@ def test_bundled_detuning_scan_shape():
         assert len(sweep.repeat_values) == 3  # three relative phases
     names = {sw.name for sw in s.sweeps}
     assert names == {"detuning", "amplitude", "gamma"}
+
+
+JC = "model:\n  kind: jc\n"
+LAMBDA = "model:\n  kind: lambda\n"
+SWEEP = "sweep:\n  variable: gamma\n"
+SPECTRAL = "method: SpectralFD\n"
+TOP_KEYS = "closed, distribution, method, mode, model, numerics, output, sweep, sweeps, task"
+METHODS = "['AnalyticOracle', 'CharPoly', 'PeriodicNumeric', 'PerturbationTheory', 'PseudoInverse', 'SpectralFD']"
+TASKS = "['ClosedSystem', 'ConservationCheck', 'Cumulants', 'Distribution', 'Scan']"
+JC_VARIABLES = "['eps_delta', 'gamma', 'omega1', 'omega2', 'phi1', 'phi2']"
+
+# (id, invalid document, its exact violation list): every section's unknown
+# keys, kinds, bounds and list shapes, and the checks across sections
+INVALID = [
+    ("unknown-top", JC + "bogus: 1\n",
+     [f"bogus: unknown key (allowed: {TOP_KEYS})"]),
+    ("unknown-model", JC + "  bogus: 1\n",
+     ["model.bogus: unknown key (allowed: eps_delta, gamma, kind, omega1, omega2, phi1, phi2)"]),
+    ("unknown-numerics", JC + "numerics:\n  bogus: 1\n",
+     ["numerics.bogus: unknown key (allowed: h, n_fft, steps, threads)"]),
+    ("unknown-distribution", JC + "distribution:\n  bogus: 1\n",
+     ["distribution.bogus: unknown key (allowed: alphas, law, modes, nbar, sigma2, time)"]),
+    ("unknown-closed", JC + "closed:\n  bogus: 1\n",
+     ["closed.bogus: unknown key (allowed: mode, time, weights)"]),
+    ("unknown-sweep", JC + SWEEP + "  bogus: 1\n",
+     ["sweep.bogus: unknown key (allowed: log, name, points, repeat_param, repeat_values, start, stop, variable)"]),
+    ("model-bool-number", JC + "  eps_delta: true\n",
+     ["model.eps_delta: expected a number, got True"]),
+    ("model-bool-integer", LAMBDA + "  r: true\n",
+     ["model.r: expected an integer, got True"]),
+    ("model-float-integer", LAMBDA + "  r: 1.5\n",
+     ["model.r: expected an integer, got 1.5"]),
+    ("model-string-number", JC + "  gamma: '0.1'\n",
+     ["model.gamma: expected a number, got '0.1'"]),
+    ("model-inf", JC + "  omega1: .inf\n",
+     ["model.omega1: must be finite"]),
+    ("model-nan", JC + "  phi1: .nan\n",
+     ["model.phi1: must be finite"]),
+    ("n_fft-float", JC + "numerics:\n  n_fft: 1024.0\n",
+     ["numerics.n_fft: expected an integer, got 1024.0"]),
+    ("threads-bool", JC + "numerics:\n  threads: true\n",
+     ["numerics.threads: expected an integer, got True"]),
+    ("h-string", JC + SPECTRAL + "numerics:\n  h: '0.1'\n",
+     ["numerics.h: expected a number, got '0.1'"]),
+    ("distribution-time-inf", JC + "distribution:\n  time: .inf\n",
+     ["distribution.time: must be finite"]),
+    ("closed-time-string", JC + "closed:\n  time: '10'\n",
+     ["closed.time: expected a number, got '10'"]),
+    ("closed-mode-bool", JC + "closed:\n  mode: true\n",
+     ["closed.mode: expected an integer, got True"]),
+    ("sweep-points-bool", JC + SWEEP + "  points: true\n",
+     ["sweep.points: expected an integer, got True"]),
+    ("sweep-log-integer", JC + SWEEP + "  log: 1\n",
+     ["sweep.log: expected a boolean"]),
+    ("sweep-name-integer", JC + SWEEP + "  name: 5\n",
+     ["sweep.name: expected a string"]),
+    ("sweep-start-nan", JC + SWEEP + "  start: .nan\n",
+     ["sweep.start: must be finite"]),
+    ("model-not-mapping", "model: 3\n",
+     ["model: expected a mapping with a 'kind' key"]),
+    ("model-kind", "model:\n  kind: rabi\n  bogus: 1\n",
+     ["model.kind: expected 'jc' or 'lambda', got 'rabi'"]),
+    ("model-missing", "task: Cumulants\n",
+     ["model: expected a mapping with a 'kind' key"]),
+    ("method", JC + "method: Magic\n",
+     [f"method: expected one of {METHODS}, got 'Magic'"]),
+    ("task", JC + "task: Dance\n",
+     [f"task: expected one of {TASKS}, got 'Dance'"]),
+    ("mode-bool", JC + "mode: true\n",
+     ["mode: expected 1, 2, 'drive' or 'bath', got True"]),
+    ("mode-3", JC + "mode: 3\n",
+     ["mode: expected 1, 2, 'drive' or 'bath', got 3"]),
+    ("mode-string", JC + "mode: '1'\n",
+     ["mode: expected 1, 2, 'drive' or 'bath', got '1'"]),
+    ("output-integer", JC + "output: 5\n",
+     ["output: expected a path string"]),
+    ("numerics-not-mapping", JC + "numerics: 5\n",
+     ["numerics: expected a mapping"]),
+    ("distribution-not-mapping", JC + "distribution: [1]\n",
+     ["distribution: expected a mapping"]),
+    ("closed-not-mapping", JC + "closed: true\n",
+     ["closed: expected a mapping"]),
+    ("gamma-negative", JC + "  gamma: -0.5\n",
+     ["model: gamma must be nonnegative"]),
+    ("omega_d-zero", LAMBDA + "  omega_d: 0\n",
+     ["model: omega_d must be positive"]),
+    ("h-zero", JC + SPECTRAL + "numerics:\n  h: 0\n",
+     ["numerics.h: must be positive"]),
+    ("n_fft-100", JC + "numerics:\n  n_fft: 100\n",
+     ["numerics.n_fft: must be a power of two >= 128, got 100"]),
+    ("n_fft-384", JC + "numerics:\n  n_fft: 384\n",
+     ["numerics.n_fft: must be a power of two >= 128, got 384"]),
+    ("steps-32", JC + "numerics:\n  steps: 32\n",
+     ["numerics.steps: must be >= 64, got 32"]),
+    ("threads-0", JC + "numerics:\n  threads: 0\n",
+     ["numerics.threads: must be >= 1, got 0"]),
+    ("distribution-time-negative", JC + "distribution:\n  time: -1\n",
+     ["distribution.time: must be nonnegative"]),
+    ("closed-mode-3", JC + "closed:\n  mode: 3\n",
+     ["closed.mode: must be 1 or 2"]),
+    ("closed-weights-sum", JC + "closed:\n  weights: [0.7, 0.7]\n",
+     ["closed.weights: must be nonnegative and sum to 1"]),
+    ("closed-weights-negative", JC + "closed:\n  weights: [-0.5, 1.5]\n",
+     ["closed.weights: must be nonnegative and sum to 1"]),
+    ("sweep-points-1", JC + SWEEP + "  points: 1\n",
+     ["sweep.points: must be >= 2"]),
+    ("modes-bool", JC + "distribution:\n  modes: [true]\n",
+     ["distribution.modes: expected [1], [2], [1, 2] or [2, 1]"]),
+    ("modes-empty", JC + "distribution:\n  modes: []\n",
+     ["distribution.modes: expected [1], [2], [1, 2] or [2, 1]"]),
+    ("modes-scalar", JC + "distribution:\n  modes: 1\n",
+     ["distribution.modes: expected [1], [2], [1, 2] or [2, 1]"]),
+    ("modes-3", JC + "distribution:\n  modes: [1, 3]\n",
+     ["distribution.modes: expected [1], [2], [1, 2] or [2, 1]"]),
+    ("weights-one", JC + "closed:\n  weights: [0.5]\n",
+     ["closed.weights: expected a list of two numbers summing to 1"]),
+    ("weights-bool", JC + "closed:\n  weights: [0.5, true]\n",
+     ["closed.weights[1]: expected a number, got True"]),
+    ("nbar-empty", JC + "distribution:\n  nbar: []\n",
+     ["distribution.nbar: expected a nonempty list of numbers"]),
+    ("nbar-string", JC + "distribution:\n  nbar: [a, 1.0]\n",
+     ["distribution.nbar[0]: expected a number, got 'a'"]),
+    ("sigma2-scalar", JC + "distribution:\n  sigma2: 5\n",
+     ["distribution.sigma2: expected a nonempty list of numbers"]),
+    ("alphas-short", JC + "distribution:\n  law: poisson\n  modes: [1, 2]\n  alphas: [1.0]\n",
+     ["distribution.alphas: needs one entry per resolved mode (2)"]),
+    ("law", JC + "distribution:\n  law: cauchy\n",
+     ["distribution.law: expected 'poisson' or 'gaussian'"]),
+    ("sweep-and-sweeps", JC + SWEEP + "sweeps:\n  - variable: gamma\n",
+     ["sweep: give either 'sweep' or 'sweeps', not both"]),
+    ("sweeps-empty", JC + "sweeps: []\n",
+     ["sweeps: expected a nonempty list of sweep mappings"]),
+    ("sweeps-entry", JC + "sweeps: [3]\n",
+     ["sweeps[0]: expected a mapping"]),
+    ("sweep-not-mapping", JC + "sweep: 3\n",
+     ["sweep: expected a mapping"]),
+    ("sweep-variable-of-lambda", JC + "sweep:\n  variable: omega_delta\n",
+     [f"sweep.variable: expected one of {JC_VARIABLES}, got 'omega_delta'"]),
+    ("sweeps-variable-of-jc", LAMBDA + "sweeps:\n  - variable: omega_delta\n  - variable: omega2\n",
+     ["sweeps[1].variable: expected one of ['eps_a', 'eps_b', 'eps_c', 'gamma', 'omega_1', 'omega_d', 'omega_delta', 'omega_p', 'omega_p0', 'omega_p1', 'omega_s', 'phi1', 'phi2', 'r'], got 'omega2'"]),
+    ("sweep-variable-missing", JC + "sweep:\n  start: 1\n",
+     [f"sweep.variable: expected one of {JC_VARIABLES}, got None"]),
+    ("log-sweep-start-0", JC + SWEEP + "  start: 0\n  stop: 1\n  points: 5\n  log: true\n",
+     ["sweep.start: must be positive for a log sweep"]),
+    ("log-sweep-default-start", JC + SWEEP + "  log: true\n",
+     ["sweep.start: must be positive for a log sweep"]),
+    ("repeat-param-without-values", JC + SWEEP + "  repeat_param: phi2\n",
+     ["sweep.repeat_values: expected a nonempty list"]),
+    ("repeat-param-unknown", JC + SWEEP + "  repeat_param: r\n  repeat_values: [1]\n",
+     ["sweep.repeat_param: unknown parameter 'r'"]),
+    ("repeat-values-string", JC + SWEEP + "  repeat_param: phi2\n  repeat_values: [0.0, a]\n",
+     ["sweep.repeat_values[1]: expected a number, got 'a'"]),
+    ("scan-without-sweep", JC + "task: Scan\n",
+     ["sweep: a Scan task requires a sweep specification"]),
+    ("closed-task-lambda", LAMBDA + "task: ClosedSystem\n",
+     ["task: ClosedSystem statistics are defined for the jc model"]),
+    ("periodic-numeric-jc", JC + "method: PeriodicNumeric\n",
+     ["method: PeriodicNumeric applies to the lambda model only"]),
+    ("h-with-oracle", JC + "method: AnalyticOracle\nnumerics:\n  h: 0.01\n",
+     ["numerics.h: AnalyticOracle takes no stencil step h; only SpectralFD and PerturbationTheory do; leave h null"]),
+    ("many-sections", JC + "  gamma: -1\n  bogus_param: 3\ntask: Dance\nmethod: Magic\nbogus: 1\n", [
+        f"bogus: unknown key (allowed: {TOP_KEYS})",
+        "model.bogus_param: unknown key (allowed: eps_delta, gamma, kind, omega1, omega2, phi1, phi2)",
+        "model: gamma must be nonnegative",
+        f"method: expected one of {METHODS}, got 'Magic'",
+        f"task: expected one of {TASKS}, got 'Dance'",
+    ]),
+    ("document-not-mapping", "[1, 2]\n",
+     ["document: expected a top-level mapping"]),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, violations", [case[1:] for case in INVALID], ids=[case[0] for case in INVALID]
+)
+def test_exact_violations(doc, violations):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(doc)
+    assert exc.value.violations == violations
