@@ -23,7 +23,6 @@ from .config import (
     Task,
     apply_sweep_value,
     load_scenario,
-    method_violations,
     parse_scenario,
 )
 from .counting import (
@@ -69,8 +68,16 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _model_params(scenario: Scenario):
+    """The model parameters; a sweep point whose values they refused carries
+    that error instead, and it is raised here."""
+    if isinstance(scenario.model_params, Exception):
+        raise scenario.model_params
+    return scenario.model_params
+
+
 def build_model(scenario: Scenario):
-    params = scenario.model_params
+    params = _model_params(scenario)
     if scenario.model_kind == "jc":
         return JaynesCummingsModel(params)
     if scenario.method is Method.PERIODIC_NUMERIC:
@@ -143,15 +150,20 @@ def _run_sweep(scenario: Scenario, sweep, path: str, rows_of, header: list[str],
     Every grid value, repeated for each repeat value, is one row:
     ``key(x, repeat_value, params)`` and then the values that
     ``rows_of(chunk)`` returns for the scenario with that row's model
-    parameters, where the grid is cut into chunks of ``_CHUNK`` points.  A
-    nonempty ``error`` cell marks a failed point.
+    parameters (or the error that refused them), where the grid is cut into
+    chunks of ``_CHUNK`` points.  A nonempty ``error`` cell marks a failed
+    point.
     """
     grid = []
     for rv in sweep.repeat_values or (None,):
-        base = scenario.model_params
-        if rv is not None:
-            base = apply_sweep_value(base, sweep.repeat_param, rv)
-        grid += [(x, rv, apply_sweep_value(base, sweep.variable, x)) for x in sweep.grid()]
+        for x in sweep.grid():
+            try:
+                params = scenario.model_params
+                if rv is not None:
+                    params = apply_sweep_value(params, sweep.repeat_param, rv)
+                grid.append((x, rv, apply_sweep_value(params, sweep.variable, x)))
+            except ValueError as exc:  # recorded in the point's row
+                grid.append((x, rv, exc))
     payloads = [replace(scenario, model_params=params) for _, _, params in grid]
     chunks = [payloads[i:i + _CHUNK] for i in range(0, len(payloads), _CHUNK)]
     results = [
@@ -168,7 +180,7 @@ def _run_sweep(scenario: Scenario, sweep, path: str, rows_of, header: list[str],
 def _sweep_command(name: str, default_resource: str | None, config, out, threads,
                    method) -> None:
     """scan, fig2, fig5: every sweep through :func:`_scan_rows`."""
-    scenario = _overrides(_load(config, default_resource), method, threads)
+    scenario = _load(config, method, threads, default_resource)
     failed = False
     for sweep in _sweeps(scenario):
         header = ["sweep_value"] + ([sweep.repeat_param] if sweep.repeat_param else [])
@@ -201,35 +213,19 @@ def _single_output_path(
     return base
 
 
-def _load(config: str | None, default_resource: str | None = None) -> Scenario:
+def _load(config: str | None, method: str | None, threads: int | None,
+          default_resource: str | None = None) -> Scenario:
+    """The scenario with the ``--method`` and ``--threads`` flags merged in."""
     if config:
-        return load_scenario(config)
+        return load_scenario(config, method=method, threads=threads)
     if default_resource:
         text = (
             resources.files("photonstats.scenarios")
             .joinpath(default_resource)
             .read_text(encoding="utf-8")
         )
-        return parse_scenario(text)
+        return parse_scenario(text, method=method, threads=threads)
     raise click.UsageError("--config is required for this command")
-
-
-def _overrides(scenario: Scenario, method: str | None, threads: int | None):
-    if method:
-        names = {m.value: m for m in Method}
-        if method not in names:
-            raise ScenarioError(
-                [f"method: expected one of {sorted(names)}, got {method!r}"]
-            )
-        object.__setattr__(scenario, "method", names[method])
-        problems = method_violations(
-            scenario.method, scenario.model_kind, scenario.numerics
-        )
-        if problems:
-            raise ScenarioError(problems)
-    if threads:
-        object.__setattr__(scenario.numerics, "threads", threads)
-    return scenario
 
 
 def _require_kind(scenario: Scenario, kind: str, command: str) -> None:
@@ -277,7 +273,7 @@ def _guard(fn):
 def cumulants_cmd(config, out, threads, method):
     """Flux and noise of one counted channel."""
     def run():
-        scenario = _overrides(_load(config), method, threads)
+        scenario = _load(config, method, threads)
         model = build_model(scenario)
         rep = cumulants(
             model, scenario.mode, method=scenario.method, h=scenario.numerics.h
@@ -309,7 +305,7 @@ def scan(config, out, threads, method):
 def distribution(config, out, threads, method):
     """Photon-number distribution of the resolved drive modes."""
     def run():
-        scenario = _overrides(_load(config), method, threads)
+        scenario = _load(config, method, threads)
         model = build_model(scenario)
         spec = scenario.distribution
         if spec.law == "poisson":
@@ -354,7 +350,7 @@ def distribution(config, out, threads, method):
 def closed(config, out, threads, method):
     """Closed-system (lossless) photon statistics from quasienergy branches."""
     def run():
-        scenario = _overrides(_load(config), method, threads)
+        scenario = _load(config, method, threads)
         _require_kind(scenario, "jc", "closed")
         p: JcParams = scenario.model_params
         spec = scenario.closed
@@ -396,7 +392,7 @@ def closed(config, out, threads, method):
 def conserve(config, out, threads, method):
     """Drive-vs-bath photon-ledger consistency check."""
     def run():
-        scenario = _overrides(_load(config), method, threads)
+        scenario = _load(config, method, threads)
         model = build_model(scenario)
         rep = conservation_check(model, method=scenario.method, h=scenario.numerics.h)
         status = "PASS" if rep.passed else "FAIL"
@@ -433,7 +429,7 @@ def fig2(config, out, threads, method):
 def fig3(config, out, threads, method):
     """Photon-number distributions of the probe mode and the joint pair."""
     def run():
-        scenario = _overrides(_load(config, "fig3.yaml"), method, threads)
+        scenario = _load(config, method, threads, "fig3.yaml")
         _require_kind(scenario, "jc", "fig3")
         spec = scenario.distribution
         law1 = GaussianLaw((spec.nbar[0],), (spec.sigma2[0],))
@@ -501,12 +497,12 @@ def fig3(config, out, threads, method):
 def fig4(config, out, threads, method):
     """Signal-mode flux vs detuning: closed-form PT next to Sambe-space numerics."""
     def run():
-        scenario = _overrides(_load(config, "fig4.yaml"), method, threads)
+        scenario = _load(config, method, threads, "fig4.yaml")
         _require_kind(scenario, "lambda", "fig4")
         path = _single_output_path(out, scenario.output, "fig4.csv") or "fig4.csv"
         failed = _run_sweep(
             scenario, _sweeps(scenario)[0], path, _fig4_rows, _FIG4_HEADER,
-            lambda x, rv, params: [x, params.r],
+            lambda x, rv, params: [x, getattr(params, "r", math.nan)],
         )
         sys.exit(EXIT_PARTIAL if failed else EXIT_OK)
 
@@ -541,8 +537,8 @@ _FIG4_HEADER = [
 
 def _fig4_point(scenario: Scenario):
     """One fig4 row after (omega_delta, r): the values, error, then provenance."""
-    params = scenario.model_params
     try:
+        params = _model_params(scenario)
         pt = cumulants(LambdaModel(params), 2, method=Method.ANALYTIC_ORACLE)
         model = LambdaPeriodicModel(params)
         num = cumulants(model, 2, method=Method.PSEUDO_INVERSE)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import yaml
 
@@ -30,7 +31,6 @@ __all__ = [
     "ScenarioError",
     "parse_scenario",
     "load_scenario",
-    "method_violations",
 ]
 
 
@@ -112,365 +112,268 @@ class Scenario:
     output: str | None = None
 
 
-_JC_FIELDS = {
-    "eps_delta": float,
-    "omega1": float,
-    "omega2": float,
-    "phi1": float,
-    "phi2": float,
-    "gamma": float,
-}
-_LAMBDA_FIELDS = {
-    "eps_a": float,
-    "eps_b": float,
-    "eps_c": float,
-    "omega_p": float,
-    "omega_1": float,
-    "omega_d": float,
-    "r": int,
-    "omega_s": float,
-    "omega_p0": float,
-    "omega_p1": float,
-    "gamma": float,
-    "phi1": float,
-    "phi2": float,
-}
-_SWEEP_VARIABLES_JC = set(_JC_FIELDS)
-_SWEEP_VARIABLES_LAMBDA = set(_LAMBDA_FIELDS) | {"omega_delta"}
+# A check takes (out, path, value) and returns the parsed value, or None
+# after it appended a violation to ``out`` (or for a null that leaves the
+# key unset).  Each section is a table from key to check.
 
 
-def _want_number(out: list, path: str, value, integer: bool = False):
-    if integer:
-        if isinstance(value, bool) or not isinstance(value, int):
-            out.append(f"{path}: expected an integer, got {value!r}")
-            return None
-        return value
+def _number(out: list, path: str, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         out.append(f"{path}: expected a number, got {value!r}")
-        return None
-    if not math.isfinite(float(value)):
+    elif not math.isfinite(float(value)):
         out.append(f"{path}: must be finite")
-        return None
-    return float(value)
+    else:
+        return float(value)
 
 
-def _check_unknown(out: list, path: str, doc: dict, allowed: set[str]):
-    for key in doc:
-        if key not in allowed:
-            out.append(f"{path}{key}: unknown key (allowed: {', '.join(sorted(allowed))})")
+def _integer(out: list, path: str, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        out.append(f"{path}: expected an integer, got {value!r}")
+    else:
+        return value
 
 
-def _parse_model(out: list, doc) -> tuple[str, JcParams | LambdaParams] | None:
-    if not isinstance(doc, dict):
-        out.append("model: expected a mapping with a 'kind' key")
-        return None
-    kind = doc.get("kind")
-    if kind not in ("jc", "lambda"):
-        out.append(f"model.kind: expected 'jc' or 'lambda', got {kind!r}")
-        return None
-    fields = _JC_FIELDS if kind == "jc" else _LAMBDA_FIELDS
-    _check_unknown(out, "model.", doc, set(fields) | {"kind"})
-    kwargs = {}
-    for key, typ in fields.items():
-        if key in doc:
-            v = _want_number(out, f"model.{key}", doc[key], integer=(typ is int))
-            if v is not None:
-                kwargs[key] = typ(v)
-    try:
-        params = JcParams(**kwargs) if kind == "jc" else LambdaParams(**kwargs)
-    except ValueError as exc:
-        out.append(f"model: {exc}")
-        return None
-    return kind, params
+def _instance(kind: type, what: str):
+    def check(out: list, path: str, value):
+        if isinstance(value, kind):
+            return value
+        out.append(f"{path}: expected {what}")
+
+    return check
 
 
-def _parse_sweep(out: list, path: str, doc, kind: str) -> SweepSpec | None:
-    allowed = {
-        "variable",
-        "start",
-        "stop",
-        "points",
-        "log",
-        "name",
-        "repeat_param",
-        "repeat_values",
-    }
+def _one_of(options, message: str | None = None, spelling=lambda option: option):
+    """One of ``options``, told apart by the repr of its spelling in the
+    document (so ``true`` is not 1, nor 1.0 an integer)."""
+    table = {repr(spelling(option)): option for option in options}
+    message = message or f"expected one of {sorted(map(spelling, options))}, got {{!r}}"
+
+    def check(out: list, path: str, value):
+        if repr(value) in table:
+            return table[repr(value)]
+        out.append(f"{path}: {message.format(value)}")
+
+    return check
+
+
+def _numbers(what: str, length: int | None = None):
+    """A nonempty list of numbers (of ``length`` entries, if given), as a tuple."""
+    def check(out: list, path: str, value):
+        if not isinstance(value, list) or not value or length not in (None, len(value)):
+            out.append(f"{path}: expected {what}")
+            return None
+        values = [_number(out, f"{path}[{i}]", v) for i, v in enumerate(value)]
+        if None not in values:
+            return tuple(values)
+
+    return check
+
+
+def _bounded(check, ok, message: str):
+    """``check``, then the bound ``ok``; ``message`` may show the value as {}."""
+    def bounded(out: list, path: str, value):
+        value = check(out, path, value)
+        if value is not None and not ok(value):
+            out.append(f"{path}: {message.format(value)}")
+            return None
+        return value
+
+    return bounded
+
+
+def _nullable(check):
+    """``check``, except that null leaves the key unset."""
+    return lambda out, path, value: None if value is None else check(out, path, value)
+
+
+def _section(out: list, path: str, doc, schema: dict) -> dict | None:
+    """The valid values of the mapping ``doc``, checked against ``schema``.
+
+    Unknown keys, and each present key's violations, go to ``out``; a key
+    that is invalid or null-for-unset is left out of the result.
+    """
     if not isinstance(doc, dict):
         out.append(f"{path}: expected a mapping")
         return None
-    _check_unknown(out, f"{path}.", doc, allowed)
-    variables = _SWEEP_VARIABLES_JC if kind == "jc" else _SWEEP_VARIABLES_LAMBDA
-    variable = doc.get("variable")
-    if variable not in variables:
-        out.append(
-            f"{path}.variable: expected one of {sorted(variables)}, got {variable!r}"
-        )
-    start = _want_number(out, f"{path}.start", doc.get("start", 0.0))
-    stop = _want_number(out, f"{path}.stop", doc.get("stop", 1.0))
-    points = _want_number(out, f"{path}.points", doc.get("points", 2), integer=True)
-    log = doc.get("log", False)
-    if not isinstance(log, bool):
-        out.append(f"{path}.log: expected a boolean")
-        log = False
-    if points is not None and points < 2:
-        out.append(f"{path}.points: must be >= 2")
-        points = None
-    if log and start is not None and start <= 0:
-        out.append(f"{path}.start: must be positive for a log sweep")
-        start = None
-    name = doc.get("name", "")
-    if not isinstance(name, str):
-        out.append(f"{path}.name: expected a string")
-        name = ""
-    repeat_param = doc.get("repeat_param")
-    repeat_values: tuple[float, ...] = ()
-    if repeat_param is not None:
-        if repeat_param not in variables:
-            out.append(f"{path}.repeat_param: unknown parameter {repeat_param!r}")
-            repeat_param = None
-        raw = doc.get("repeat_values", [])
-        if not isinstance(raw, list) or not raw:
-            out.append(f"{path}.repeat_values: expected a nonempty list")
-        else:
-            vals = [_want_number(out, f"{path}.repeat_values[{i}]", v)
-                    for i, v in enumerate(raw)]
-            if all(v is not None for v in vals):
-                repeat_values = tuple(vals)
-    if None in (start, stop, points) or variable not in variables:
-        return None
-    return SweepSpec(
-        variable=variable,
-        start=start,
-        stop=stop,
-        points=points,
-        log=log,
-        name=name or variable,
-        repeat_param=repeat_param,
-        repeat_values=repeat_values,
+    prefix = f"{path}." if path else ""
+    for key in doc:
+        if key not in schema:
+            out.append(f"{prefix}{key}: unknown key (allowed: {', '.join(sorted(schema))})")
+    values = {key: check(out, prefix + key, doc[key])
+              for key, check in schema.items() if key in doc}
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _spec(cls, schema: dict):
+    """A check building ``cls`` from a section; invalid keys take the defaults."""
+    return _nullable(
+        lambda out, path, value: cls(**(_section(out, path, value, schema) or {}))
     )
 
 
-def _parse_numerics(out: list, doc) -> Numerics:
-    if doc is None:
-        return Numerics()
-    allowed = {"h", "n_fft", "steps", "threads"}
-    if not isinstance(doc, dict):
-        out.append("numerics: expected a mapping")
-        return Numerics()
-    _check_unknown(out, "numerics.", doc, allowed)
-    kwargs = {}
-    if "h" in doc:
-        v = _want_number(out, "numerics.h", doc["h"])
-        if v is not None and v <= 0:
-            out.append("numerics.h: must be positive")
-        elif v is not None:
-            kwargs["h"] = v
-    for key, least in (("n_fft", MIN_N), ("steps", MIN_STEPS), ("threads", 1)):
-        if key in doc:
-            v = _want_number(out, f"numerics.{key}", doc[key], integer=True)
-            if v is not None and (v < least or (key == "n_fft" and v & (v - 1))):
-                power = "a power of two " if key == "n_fft" else ""
-                out.append(f"numerics.{key}: must be {power}>= {least}, got {v}")
-            elif v is not None:
-                kwargs[key] = v
-    return Numerics(**kwargs)
-
-
-def _parse_distribution(out: list, doc) -> DistributionSpec:
-    if doc is None:
-        return DistributionSpec()
-    allowed = {"modes", "time", "law", "nbar", "sigma2", "alphas"}
-    if not isinstance(doc, dict):
-        out.append("distribution: expected a mapping")
-        return DistributionSpec()
-    _check_unknown(out, "distribution.", doc, allowed)
-    kwargs = {}
-    modes = doc.get("modes")
-    if modes is not None:
-        if (
-            not isinstance(modes, list)
-            or not modes
-            or not all(type(m) is int and m in (1, 2) for m in modes)
-            or len(set(modes)) != len(modes)
-        ):
-            out.append("distribution.modes: expected [1], [2], [1, 2] or [2, 1]")
-        else:
-            kwargs["modes"] = tuple(modes)
-    if "time" in doc:
-        v = _want_number(out, "distribution.time", doc["time"])
-        if v is not None and v < 0:
-            out.append("distribution.time: must be nonnegative")
-        elif v is not None:
-            kwargs["time"] = v
-    law = doc.get("law")
-    if law is not None:
-        if law not in ("poisson", "gaussian"):
-            out.append("distribution.law: expected 'poisson' or 'gaussian'")
-        else:
-            kwargs["law"] = law
-    for key in ("nbar", "sigma2", "alphas"):
-        if key in doc:
-            raw = doc[key]
-            if not isinstance(raw, list) or not raw:
-                out.append(f"distribution.{key}: expected a nonempty list of numbers")
-                continue
-            vals = [_want_number(out, f"distribution.{key}[{i}]", v)
-                    for i, v in enumerate(raw)]
-            if all(v is not None for v in vals):
-                kwargs[key] = tuple(vals)
-    spec = DistributionSpec(**kwargs)
-    keys = ("alphas",) if spec.law == "poisson" else ("nbar", "sigma2")
-    for key in keys:
-        if len(getattr(spec, key)) < len(spec.modes):
-            out.append(
-                f"distribution.{key}: needs one entry per resolved mode "
-                f"({len(spec.modes)})"
-            )
-    return spec
-
-
-def _parse_closed(out: list, doc) -> ClosedSpec:
-    if doc is None:
-        return ClosedSpec()
-    allowed = {"weights", "time", "mode"}
-    if not isinstance(doc, dict):
-        out.append("closed: expected a mapping")
-        return ClosedSpec()
-    _check_unknown(out, "closed.", doc, allowed)
-    kwargs = {}
-    weights = doc.get("weights")
-    if weights is not None:
-        if not isinstance(weights, list) or len(weights) != 2:
-            out.append("closed.weights: expected a list of two numbers summing to 1")
-        else:
-            vals = [_want_number(out, f"closed.weights[{i}]", v)
-                    for i, v in enumerate(weights)]
-            if all(v is not None for v in vals):
-                if abs(sum(vals) - 1.0) > 1e-9 or any(v < 0 for v in vals):
-                    out.append("closed.weights: must be nonnegative and sum to 1")
-                else:
-                    kwargs["weights"] = (vals[0], vals[1])
-    if "time" in doc:
-        v = _want_number(out, "closed.time", doc["time"])
-        if v is not None:
-            kwargs["time"] = v
-    if "mode" in doc:
-        v = _want_number(out, "closed.mode", doc["mode"], integer=True)
-        if v is not None and v not in (1, 2):
-            out.append("closed.mode: must be 1 or 2")
-        elif v is not None:
-            kwargs["mode"] = v
-    return ClosedSpec(**kwargs)
-
-
-_TOP_KEYS = {
-    "model",
-    "method",
-    "task",
-    "mode",
-    "sweep",
-    "sweeps",
-    "numerics",
-    "distribution",
-    "closed",
-    "output",
+_PARAMS = {"jc": JcParams, "lambda": LambdaParams}
+_MODEL = {
+    # the kind is checked before the section
+    kind: {"kind": lambda out, path, value: None} | {
+        f.name: _integer if f.type in (int, "int") else _number for f in fields(cls)
+    }
+    for kind, cls in _PARAMS.items()
+}
+_VARIABLES = {"jc": set(_MODEL["jc"]) - {"kind"},
+              "lambda": set(_MODEL["lambda"]) - {"kind"} | {"omega_delta"}}
+_SWEEP = {
+    kind: {
+        "variable": _one_of(names),
+        "start": _number,
+        "stop": _number,
+        "points": _bounded(_integer, lambda n: n >= 2, "must be >= 2"),
+        "log": _instance(bool, "a boolean"),
+        "name": _instance(str, "a string"),
+        "repeat_param": _nullable(_one_of(names, "unknown parameter {!r}")),
+        "repeat_values": _numbers("a nonempty list"),
+    }
+    for kind, names in _VARIABLES.items()
+}
+_NUMERICS = {
+    "h": _nullable(_bounded(_number, lambda h: h > 0, "must be positive")),
+    "n_fft": _bounded(_integer, lambda n: n >= MIN_N and not n & (n - 1),
+                      f"must be a power of two >= {MIN_N}, got {{}}"),
+    "steps": _bounded(_integer, lambda n: n >= MIN_STEPS, f"must be >= {MIN_STEPS}, got {{}}"),
+    "threads": _bounded(_integer, lambda n: n >= 1, "must be >= 1, got {}"),
+}
+_DISTRIBUTION = {
+    "modes": _nullable(_one_of(((1,), (2,), (1, 2), (2, 1)),
+                               "expected [1], [2], [1, 2] or [2, 1]", list)),
+    "time": _bounded(_number, lambda t: t >= 0, "must be nonnegative"),
+    "law": _nullable(_one_of(("poisson", "gaussian"), "expected 'poisson' or 'gaussian'")),
+    "nbar": _numbers("a nonempty list of numbers"),
+    "sigma2": _numbers("a nonempty list of numbers"),
+    "alphas": _numbers("a nonempty list of numbers"),
+}
+_CLOSED = {
+    "weights": _nullable(_bounded(_numbers("a list of two numbers summing to 1", length=2),
+                                  lambda w: abs(sum(w) - 1.0) <= 1e-9 and min(w) >= 0,
+                                  "must be nonnegative and sum to 1")),
+    "time": _bounded(_number, lambda t: t >= 0, "must be nonnegative"),
+    "mode": _bounded(_integer, lambda m: m in (1, 2), "must be 1 or 2"),
 }
 
 
-def method_violations(
-    method: Method, kind: str | None, numerics: Numerics
-) -> list[str]:
-    """Combinations of method, model kind and numerics that cannot be honoured."""
-    out = []
-    if method is Method.PERIODIC_NUMERIC and kind == "jc":
-        out.append("method: PeriodicNumeric applies to the lambda model only")
-    if numerics.h is not None and method not in STEP_METHODS:
-        out.append(f"numerics.h: {no_step_message(method)}; leave h null")
-    return out
+def _model(out: list, path: str, doc):
+    """``(kind, params)``; the kind picks the parameter table."""
+    if not isinstance(doc, dict):
+        out.append(f"{path}: expected a mapping with a 'kind' key")
+        return None
+    kind = doc.get("kind")
+    if kind not in ("jc", "lambda"):
+        out.append(f"{path}.kind: expected 'jc' or 'lambda', got {kind!r}")
+        return None
+    try:
+        return kind, _PARAMS[kind](**_section(out, path, doc, _MODEL[kind]))
+    except ValueError as exc:
+        out.append(f"{path}: {exc}")
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Validate a YAML scenario document, reporting every violation at once."""
-    out: list[str] = []
+def _sweep(out: list, path: str, doc, kind: str) -> SweepSpec | None:
+    if isinstance(doc, dict):
+        # the variable is required and the grid has defaults; repeat values
+        # count only under a repeat parameter, which needs them
+        doc = {"variable": None, "start": 0.0, "stop": 1.0, "points": 2, **doc}
+        if doc.get("repeat_param") is None:
+            doc.pop("repeat_values", None)
+        else:
+            doc.setdefault("repeat_values", [])
+    values = _section(out, path, doc, _SWEEP[kind])
+    if values is None:
+        return None
+    if values.get("log") and values.get("start", 1.0) <= 0:
+        out.append(f"{path}.start: must be positive for a log sweep")
+        return None
+    if not {"variable", "start", "stop", "points"} <= values.keys():
+        return None
+    return SweepSpec(**{**values, "name": values.get("name") or values["variable"]})
+
+
+def _sweeps(out: list, path: str, value, kind: str) -> list[SweepSpec] | None:
+    if not isinstance(value, list) or not value:
+        out.append("sweeps: expected a nonempty list of sweep mappings")
+        return None
+    specs = [_sweep(out, f"sweeps[{i}]", entry, kind) for i, entry in enumerate(value)]
+    return [spec for spec in specs if spec]
+
+
+def _distribution(out: list, path: str, doc) -> DistributionSpec:
+    spec = DistributionSpec(**(_section(out, path, doc, _DISTRIBUTION) or {}))
+    for key in ("alphas",) if spec.law == "poisson" else ("nbar", "sigma2"):
+        if len(getattr(spec, key)) < len(spec.modes):
+            out.append(f"{path}.{key}: needs one entry per resolved mode ({len(spec.modes)})")
+    return spec
+
+
+_TOP = {
+    kind: {
+        "model": _model,
+        "method": _one_of(Method, spelling=lambda method: method.value),
+        "task": _one_of(Task, spelling=lambda task: task.value),
+        "mode": _one_of((1, 2, "drive", "bath"), "expected 1, 2, 'drive' or 'bath', got {!r}"),
+        "sweep": partial(_sweep, kind=kind),
+        "sweeps": partial(_sweeps, kind=kind),
+        "numerics": _spec(Numerics, _NUMERICS),
+        "distribution": _nullable(_distribution),
+        "closed": _spec(ClosedSpec, _CLOSED),
+        "output": _nullable(_instance(str, "a path string")),
+    }
+    for kind in _PARAMS
+}
+
+
+def parse_scenario(text: str, method: str | None = None,
+                   threads: int | None = None) -> Scenario:
+    """Validate a YAML scenario document, reporting every violation at once.
+
+    ``method`` and ``threads`` (the CLI's ``--method`` and ``--threads``)
+    replace the document's ``method`` and ``numerics.threads`` before it is
+    validated.
+    """
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioError([f"document: not valid YAML ({exc})"]) from exc
     if not isinstance(doc, dict):
         raise ScenarioError(["document: expected a top-level mapping"])
-    _check_unknown(out, "", doc, _TOP_KEYS)
-    model = _parse_model(out, doc.get("model"))
-    method = DEFAULT_METHOD
-    if "method" in doc:
-        names = {m.value: m for m in Method}
-        if doc["method"] not in names:
-            out.append(f"method: expected one of {sorted(names)}, got {doc['method']!r}")
-        else:
-            method = names[doc["method"]]
-    task = Task.CUMULANTS
-    if "task" in doc:
-        names = {t.value: t for t in Task}
-        if doc["task"] not in names:
-            out.append(f"task: expected one of {sorted(names)}, got {doc['task']!r}")
-        else:
-            task = names[doc["task"]]
-    mode: int | str = 1
-    if "mode" in doc:
-        raw = doc["mode"]
-        if raw in ("drive", "bath"):
-            mode = raw
-        elif isinstance(raw, int) and not isinstance(raw, bool) and raw in (1, 2):
-            mode = raw
-        else:
-            out.append(f"mode: expected 1, 2, 'drive' or 'bath', got {raw!r}")
-    kind = model[0] if model else "jc"
-    sweeps: list[SweepSpec] = []
+    doc = {"model": None, **doc}  # a missing model is reported like a malformed one
+    if method:
+        doc["method"] = method
+    numerics = doc.get("numerics")
+    if threads is not None and isinstance(numerics, (dict, type(None))):
+        doc["numerics"] = {**(numerics or {}), "threads": threads}
+    out: list[str] = []
+    # sweep variables are the model's; a model that fails is checked as jc
+    model = _model([], "model", doc["model"])
+    top = _section(out, "", doc, _TOP[model[0] if model else "jc"])
+    model = top.pop("model", None)
     if "sweep" in doc and "sweeps" in doc:
         out.append("sweep: give either 'sweep' or 'sweeps', not both")
-    if "sweep" in doc:
-        spec = _parse_sweep(out, "sweep", doc["sweep"], kind)
-        if spec:
-            sweeps.append(spec)
-    if "sweeps" in doc:
-        raw = doc["sweeps"]
-        if not isinstance(raw, list) or not raw:
-            out.append("sweeps: expected a nonempty list of sweep mappings")
-        else:
-            for i, entry in enumerate(raw):
-                spec = _parse_sweep(out, f"sweeps[{i}]", entry, kind)
-                if spec:
-                    sweeps.append(spec)
-    numerics = _parse_numerics(out, doc.get("numerics"))
-    distribution = _parse_distribution(out, doc.get("distribution"))
-    closed = _parse_closed(out, doc.get("closed"))
-    output = doc.get("output")
-    if output is not None and not isinstance(output, str):
-        out.append("output: expected a path string")
-        output = None
-    if task is Task.SCAN and not sweeps:
+    sweeps = ([top.pop("sweep")] if "sweep" in top else []) + top.pop("sweeps", [])
+    scenario = Scenario(*(model or ("jc", JcParams())), sweeps=tuple(sweeps), **top)
+    if scenario.task is Task.SCAN and not sweeps:
         out.append("sweep: a Scan task requires a sweep specification")
-    if task is Task.CLOSED and (model and model[0] != "jc"):
+    if scenario.task is Task.CLOSED and model and model[0] != "jc":
         out.append("task: ClosedSystem statistics are defined for the jc model")
-    out += method_violations(method, model[0] if model else None, numerics)
-    if out or model is None:
-        raise ScenarioError(out or ["model: section is required"])
-    return Scenario(
-        model_kind=model[0],
-        model_params=model[1],
-        method=method,
-        task=task,
-        mode=mode,
-        sweeps=tuple(sweeps),
-        numerics=numerics,
-        distribution=distribution,
-        closed=closed,
-        output=output,
-    )
+    if scenario.method is Method.PERIODIC_NUMERIC and model and model[0] == "jc":
+        out.append("method: PeriodicNumeric applies to the lambda model only")
+    if scenario.numerics.h is not None and scenario.method not in STEP_METHODS:
+        out.append(f"numerics.h: {no_step_message(scenario.method)}; leave h null")
+    if out:
+        raise ScenarioError(out)
+    return scenario
 
 
-def load_scenario(path: str) -> Scenario:
+def load_scenario(path: str, method: str | None = None,
+                  threads: int | None = None) -> Scenario:
+    """:func:`parse_scenario` of the file at ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        return parse_scenario(fh.read(), method=method, threads=threads)
 
 
 def apply_sweep_value(

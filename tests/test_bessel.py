@@ -10,7 +10,7 @@ from photonstats.bessel import bessel_j
 
 
 def test_reference_grid():
-    xs = np.linspace(0.0, 50.0, 101)
+    xs = np.linspace(-200.0, 200.0, 801)
     for n in (0, 1, 2, 3, 5, 10, 20):
         for x in xs:
             assert bessel_j(n, float(x)) == pytest.approx(
@@ -42,8 +42,6 @@ def test_first_zero_of_j0():
 def test_range_and_order_validation():
     with pytest.raises(ValueError):
         bessel_j(-1, 1.0)
-    with pytest.raises(ValueError):
-        bessel_j(0, 51.0)
 
 
 @given(

@@ -273,11 +273,12 @@ def test_fig3_writes_nothing_when_only_the_joint_window_overflows(runner, tmp_pa
 
 @pytest.mark.parametrize("method", ["", "method: AnalyticOracle\n"])
 def test_a_point_whose_model_cannot_be_built_gets_an_error_row(runner, tmp_path, method):
-    # omega_p1 / omega_d above 50 is outside the Bessel range of the model
+    # the model parameters refuse the grid's negative gamma values
     doc = (
         resources.files("photonstats.scenarios").joinpath("fig5.yaml").read_text()
         .replace("method: AnalyticOracle\n", method)
-        .replace("start: 0.0\n  stop: 320.0\n  points: 161", "start: 1960.0\n  stop: 2120.0\n  points: 5")
+        .replace("variable: omega_p1\n  start: 0.0\n  stop: 320.0\n  points: 161",
+                 "variable: gamma\n  start: -0.15\n  stop: 0.25\n  points: 5")
     )
     cfg = write(tmp_path, "s.yaml", doc)
     result = runner.invoke(main, ["scan", "--config", cfg, "--out", str(tmp_path)])
@@ -286,11 +287,24 @@ def test_a_point_whose_model_cannot_be_built_gets_an_error_row(runner, tmp_path,
         rows = list(csv.DictReader(fh))
     assert len(rows) == 10
     for row in rows:
-        if float(row["sweep_value"]) / 40.0 > 50.0:
-            assert row["error"].startswith("ValueError: |x| = ")
-            assert "exceeds supported range 50.0" in row["error"]
+        if float(row["sweep_value"]) < 0.0:
+            assert row["error"] == "ValueError: gamma and omega_s must be nonnegative"
             assert row["I_2"] == row["flagged"] == "nan"
         else:
             assert row["error"] == "" and row["flagged"] == "0"
             assert math.isfinite(float(row["I_2"]))
-    assert sum(bool(row["error"]) for row in rows) == 6
+    assert sum(bool(row["error"]) for row in rows) == 4
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_configuration_error(runner, tmp_path, monkeypatch, threads):
+    def no_workers(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("photonstats.cli._map_points", no_workers)
+    cfg = write(tmp_path, "s.yaml", SCAN_DOC)
+    result = runner.invoke(main, ["scan", "--config", cfg, "--out", str(tmp_path),
+                                  "--threads", threads])
+    assert result.exit_code == 2, result.output
+    assert f"numerics.threads: must be >= 1, got {threads}" in result.stderr
+    assert not list(tmp_path.glob("*.csv"))

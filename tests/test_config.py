@@ -1,7 +1,9 @@
 """Strict scenario parsing: every violation reported, derived sweeps applied."""
 
 import math
+import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +190,14 @@ def test_apply_sweep_value_plain_and_derived():
     assert apply_sweep_value(lp, "r", 2.0).r == 2
 
 
+def test_every_yaml_block_of_the_readme_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        assert isinstance(parse_scenario(block), Scenario)
+
+
 @pytest.mark.parametrize("name", ["fig2.yaml", "fig3.yaml", "fig4.yaml", "fig5.yaml"])
 def test_bundled_scenarios_parse(name):
     text = (
@@ -305,6 +315,8 @@ INVALID = [
      ["numerics.threads: must be >= 1, got 0"]),
     ("distribution-time-negative", JC + "distribution:\n  time: -1\n",
      ["distribution.time: must be nonnegative"]),
+    ("closed-time-negative", JC + "closed:\n  time: -10\n",
+     ["closed.time: must be nonnegative"]),
     ("closed-mode-3", JC + "closed:\n  mode: 3\n",
      ["closed.mode: must be 1 or 2"]),
     ("closed-weights-sum", JC + "closed:\n  weights: [0.7, 0.7]\n",
