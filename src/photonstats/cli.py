@@ -12,27 +12,24 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from importlib import resources
 
 import click
-import numpy as np
 
 from .config import (
     Scenario,
     ScenarioError,
-    Task,
     apply_sweep_value,
     load_scenario,
     parse_scenario,
 )
 from .counting import (
-    _STENCIL_FLAG_RTOL,
-    CountingFields,
+    STENCIL_FLAG_RTOL,
     Method,
     conservation_check,
     cumulants,
     cumulants_many,
-    dynamical_mgf,
 )
 from .distributions import (
     GaussianLaw,
@@ -42,7 +39,7 @@ from .distributions import (
     reconstruct,
     reconstruct_from_mgf,
 )
-from .models.jc import JaynesCummingsModel, JcParams, jc_closed_statistics
+from .models.jc import JaynesCummingsModel, jc_closed_statistics
 from .models.lambda_system import LambdaModel, LambdaPeriodicModel
 
 EXIT_OK = 0
@@ -85,8 +82,9 @@ def build_model(scenario: Scenario):
     return LambdaModel(params)
 
 
-def _map_points(fn, payloads: list, threads: int) -> list:
-    """``fn`` over ``payloads`` in order, in worker processes when threads > 1."""
+def _map_points(fn, payloads: list, threads: int):
+    """``fn`` over ``payloads`` in order: in worker processes when threads > 1,
+    else lazily in this process, as the builtin ``map``."""
     if threads > 1:
         # imported here: multiprocessing costs every single-process run its start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -94,7 +92,7 @@ def _map_points(fn, payloads: list, threads: int) -> list:
         chunk = max(1, len(payloads) // (16 * threads))
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, payloads, chunksize=chunk))
-    return [fn(p) for p in payloads]
+    return map(fn, payloads)
 
 
 _SCAN_COLUMNS = [
@@ -119,7 +117,7 @@ def _scan_row(method: Method, outcome) -> tuple:
     for rep in outcome:
         values.extend([rep.flux, rep.noise, rep.snr])
     err = max(rep.stencil_error for rep in outcome)
-    return tuple(values) + (method.value, err, int(err > _STENCIL_FLAG_RTOL), "")
+    return tuple(values) + (method.value, err, int(err > STENCIL_FLAG_RTOL), "")
 
 
 def _scan_rows(chunk: list[Scenario]) -> list[tuple]:
@@ -135,12 +133,6 @@ def _scan_rows(chunk: list[Scenario]) -> list[tuple]:
             built.append(exc)
     reports = iter(cumulants_many(models, (1, 2), method, h))
     return [_scan_row(method, next(reports) if exc is None else exc) for exc in built]
-
-
-def _sweeps(scenario: Scenario):
-    if not scenario.sweeps:
-        raise ScenarioError(["sweep: this command requires a sweep specification"])
-    return scenario.sweeps
 
 
 def _run_sweep(scenario: Scenario, sweep, path: str, rows_of, header: list[str],
@@ -177,21 +169,6 @@ def _run_sweep(scenario: Scenario, sweep, path: str, rows_of, header: list[str],
     return any(row[col] for row in rows)
 
 
-def _sweep_command(name: str, default_resource: str | None, config, out, threads,
-                   method) -> None:
-    """scan, fig2, fig5: every sweep through :func:`_scan_rows`."""
-    scenario = _load(config, method, threads, default_resource)
-    failed = False
-    for sweep in _sweeps(scenario):
-        header = ["sweep_value"] + ([sweep.repeat_param] if sweep.repeat_param else [])
-        path = _sweep_output_path(scenario, sweep, out, name)
-        failed |= _run_sweep(
-            scenario, sweep, path, _scan_rows, header + _SCAN_COLUMNS,
-            lambda x, rv, params: [x] if rv is None else [x, rv],
-        )
-    sys.exit(EXIT_PARTIAL if failed else EXIT_OK)
-
-
 def _sweep_output_path(scenario: Scenario, sweep, out_override: str | None,
                        prefix: str) -> str:
     base = out_override or scenario.output or "."
@@ -213,316 +190,256 @@ def _single_output_path(
     return base
 
 
-def _load(config: str | None, method: str | None, threads: int | None,
-          default_resource: str | None = None) -> Scenario:
-    """The scenario with the ``--method`` and ``--threads`` flags merged in."""
-    if config:
-        return load_scenario(config, method=method, threads=threads)
-    if default_resource:
-        text = (
-            resources.files("photonstats.scenarios")
-            .joinpath(default_resource)
-            .read_text(encoding="utf-8")
-        )
-        return parse_scenario(text, method=method, threads=threads)
-    raise click.UsageError("--config is required for this command")
-
-
-def _require_kind(scenario: Scenario, kind: str, command: str) -> None:
-    if scenario.model_kind != kind:
-        raise ScenarioError([f"model.kind: {command} needs the {kind!r} model"])
-
-
-_SHARED = [
-    click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None),
-    click.option("--out", type=click.Path(), default=None),
-    click.option("--threads", type=int, default=None),
-    click.option("--method", type=str, default=None),
-]
-
-
-def shared_options(fn):
-    for opt in reversed(_SHARED):
-        fn = opt(fn)
-    return fn
-
-
 @click.group()
 def main() -> None:
     """Photon counting statistics of driven dissipative quantum systems."""
 
 
-def _guard(fn):
-    """Run fn, mapping configuration errors to exit code 2.
+def _command(name: str, default_resource: str | None = None, kind: str | None = None,
+             sweep: bool = False):
+    """Register ``body(scenario, out)`` as the command ``name``; it returns
+    the exit code.
 
+    The command takes the shared options and loads its scenario, with the
+    ``--method`` and ``--threads`` flags merged in, from ``--config`` or
+    else the bundled ``default_resource``; a model of another kind than
+    ``kind``, or a scenario without a sweep when ``sweep`` is set, is
+    refused.  Configuration errors exit 2 with their message on stderr.
     An FFT window too small for the distribution's support is one of them:
     ``numerics.n_fft`` sets it, and the message suggests a sufficient size.
     """
-    try:
-        return fn()
-    except (ScenarioError, click.UsageError) as exc:
-        message = str(exc)
-    except WindowOverflowError as exc:
-        message = f"numerics.n_fft: {exc}"
-    click.echo(message, err=True)
-    sys.exit(EXIT_CONFIG)
+    def register(body):
+        def run(config, out, threads, method):
+            try:
+                if config:
+                    scenario = load_scenario(config, method=method, threads=threads)
+                elif default_resource:
+                    text = (
+                        resources.files("photonstats.scenarios")
+                        .joinpath(default_resource)
+                        .read_text(encoding="utf-8")
+                    )
+                    scenario = parse_scenario(text, method=method, threads=threads)
+                else:
+                    raise click.UsageError("--config is required for this command")
+                if kind and scenario.model_kind != kind:
+                    raise ScenarioError([f"model.kind: {name} needs the {kind!r} model"])
+                if sweep and not scenario.sweeps:
+                    raise ScenarioError(["sweep: this command requires a sweep specification"])
+                code = body(scenario, out)
+            except (ScenarioError, click.UsageError) as exc:
+                message = str(exc)
+            except WindowOverflowError as exc:
+                message = f"numerics.n_fft: {exc}"
+            else:
+                sys.exit(code)
+            click.echo(message, err=True)
+            sys.exit(EXIT_CONFIG)
+
+        run.__doc__ = body.__doc__
+        for option in (
+            click.option("--method", type=str, default=None),
+            click.option("--threads", type=int, default=None),
+            click.option("--out", type=click.Path(), default=None),
+            click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None),
+        ):
+            run = option(run)
+        main.command(name)(run)
+        return body
+
+    return register
 
 
-@main.command("cumulants")
-@shared_options
-def cumulants_cmd(config, out, threads, method):
+@_command("cumulants")
+def _cumulants(scenario: Scenario, out) -> int:
     """Flux and noise of one counted channel."""
-    def run():
-        scenario = _load(config, method, threads)
-        model = build_model(scenario)
-        rep = cumulants(
-            model, scenario.mode, method=scenario.method, h=scenario.numerics.h
-        )
-        header = ["mode", "I", "sigma2", "snr", "method", "h", "stencil_error"]
-        row = [rep.mode, rep.flux, rep.noise, rep.snr, rep.method.value, rep.h,
-               rep.stencil_error]
-        path = _single_output_path(out, scenario.output, "cumulants.csv")
-        if path:
-            _write_csv(path, header, [row])
-        click.echo(
-            f"mode={rep.mode} I={_fmt(rep.flux)} sigma2={_fmt(rep.noise)} "
-            f"snr={_fmt(rep.snr)} method={rep.method.value}"
-        )
-        sys.exit(EXIT_PARTIAL if rep.flagged else EXIT_OK)
-
-    _guard(run)
+    model = build_model(scenario)
+    rep = cumulants(
+        model, scenario.mode, method=scenario.method, h=scenario.numerics.h
+    )
+    header = ["mode", "I", "sigma2", "snr", "method", "h", "stencil_error"]
+    row = [rep.mode, rep.flux, rep.noise, rep.snr, rep.method.value, rep.h,
+           rep.stencil_error]
+    path = _single_output_path(out, scenario.output, "cumulants.csv")
+    if path:
+        _write_csv(path, header, [row])
+    click.echo(
+        f"mode={rep.mode} I={_fmt(rep.flux)} sigma2={_fmt(rep.noise)} "
+        f"snr={_fmt(rep.snr)} method={rep.method.value}"
+    )
+    return EXIT_PARTIAL if rep.flagged else EXIT_OK
 
 
-@main.command()
-@shared_options
-def scan(config, out, threads, method):
-    """Cumulant reports over a parameter sweep."""
-    _guard(lambda: _sweep_command("scan", None, config, out, threads, method))
+def _sweep_command(name: str, default_resource: str | None, doc: str) -> None:
+    """Register scan, fig2 or fig5: every sweep through :func:`_scan_rows`."""
+    def body(scenario: Scenario, out) -> int:
+        failed = False
+        for sweep in scenario.sweeps:
+            header = ["sweep_value"] + ([sweep.repeat_param] if sweep.repeat_param else [])
+            path = _sweep_output_path(scenario, sweep, out, name)
+            failed |= _run_sweep(
+                scenario, sweep, path, _scan_rows, header + _SCAN_COLUMNS,
+                lambda x, rv, params: [x] if rv is None else [x, rv],
+            )
+        return EXIT_PARTIAL if failed else EXIT_OK
+
+    body.__doc__ = doc
+    _command(name, default_resource, sweep=True)(body)
 
 
-@main.command()
-@shared_options
-def distribution(config, out, threads, method):
+_sweep_command("scan", None, "Cumulant reports over a parameter sweep.")
+_sweep_command("fig2", "fig2.yaml",
+               "Probe-flux/noise sweeps (detuning, amplitude, gamma) x three phases.")
+_sweep_command("fig5", "fig5.yaml", "Signal-mode statistics vs pump-modulation amplitude.")
+
+
+def _table(dist) -> tuple[list[str], list[list]]:
+    """Header and rows of a distribution table: the photon numbers, then
+    their probability."""
+    if dist.n_modes == 1:
+        rows = [[int(n), float(p)] for n, p in zip(dist.offsets[0], dist.probabilities)]
+        return ["n_1", "probability"], rows
+    rows = [
+        [int(n1), int(n2), float(dist.probabilities[i, j])]
+        for i, n1 in enumerate(dist.offsets[0])
+        for j, n2 in enumerate(dist.offsets[1])
+    ]
+    return ["n_1", "n_2", "probability"], rows
+
+
+@_command("distribution")
+def _distribution(scenario: Scenario, out) -> int:
     """Photon-number distribution of the resolved drive modes."""
-    def run():
-        scenario = _load(config, method, threads)
-        model = build_model(scenario)
-        spec = scenario.distribution
-        if spec.law == "poisson":
-            law = PoissonLaw(spec.alphas[: len(spec.modes)])
-        else:
-            law = GaussianLaw(
-                spec.nbar[: len(spec.modes)], spec.sigma2[: len(spec.modes)]
-            )
-        dist = reconstruct(
-            model,
-            model.stationary_vector(),
-            law,
-            spec.time,
-            spec.modes,
-            scenario.numerics.n_fft,
+    model = build_model(scenario)
+    spec = scenario.distribution
+    if spec.law == "poisson":
+        law = PoissonLaw(spec.alphas[: len(spec.modes)])
+    else:
+        law = GaussianLaw(
+            spec.nbar[: len(spec.modes)], spec.sigma2[: len(spec.modes)]
         )
-        path = _single_output_path(out, scenario.output, "distribution.csv") or "distribution.csv"
-        if dist.n_modes == 1:
-            header = ["n_1", "probability"]
-            rows = [
-                [int(n), float(p)]
-                for n, p in zip(dist.offsets[0], dist.probabilities)
-            ]
-        else:
-            header = ["n_1", "n_2", "probability"]
-            rows = [
-                [int(n1), int(n2), float(dist.probabilities[i, j])]
-                for i, n1 in enumerate(dist.offsets[0])
-                for j, n2 in enumerate(dist.offsets[1])
-            ]
-        _write_csv(path, header, rows)
-        with open(path + ".json", "w", encoding="utf-8") as fh:
-            json.dump(dist.metadata, fh, indent=2, sort_keys=True, default=str)
-        click.echo(f"wrote {path} ({len(rows)} rows)")
-        sys.exit(EXIT_OK)
-
-    _guard(run)
+    dist = reconstruct(
+        model,
+        model.stationary_vector(),
+        law,
+        spec.time,
+        spec.modes,
+        scenario.numerics.n_fft,
+        partial(_map_points, threads=scenario.numerics.threads),
+    )
+    path = _single_output_path(out, scenario.output, "distribution.csv") or "distribution.csv"
+    header, rows = _table(dist)
+    _write_csv(path, header, rows)
+    with open(path + ".json", "w", encoding="utf-8") as fh:
+        json.dump(dist.metadata, fh, indent=2, sort_keys=True, default=str)
+    click.echo(f"wrote {path} ({len(rows)} rows)")
+    return EXIT_OK
 
 
-@main.command()
-@shared_options
-def closed(config, out, threads, method):
+@_command("closed", kind="jc")
+def _closed(scenario: Scenario, out) -> int:
     """Closed-system (lossless) photon statistics from quasienergy branches."""
-    def run():
-        scenario = _load(config, method, threads)
-        _require_kind(scenario, "jc", "closed")
-        p: JcParams = scenario.model_params
-        spec = scenario.closed
-        mean, variance = jc_closed_statistics(p, spec.weights, spec.mode, spec.time)
-        dist = reconstruct_from_mgf(
-            lambda chi: closed_mgf(
-                p,
-                spec.weights,
-                (chi[0], 0.0) if spec.mode == 1 else (0.0, chi[0]),
-                spec.time,
-            ),
-            1,
-            scenario.numerics.n_fft,
-            signed=True,
-        )
-        header = [
-            "time", "mode", "mean", "variance", "fft_mean", "fft_variance",
-            "clipped_mass",
-        ]
-        row = [
-            spec.time, spec.mode, mean, variance,
-            dist.mean(0), dist.variance(0),
-            float(dist.metadata["clipped_mass"]),
-        ]
-        path = _single_output_path(out, scenario.output, "closed.csv")
-        if path:
-            _write_csv(path, header, [row])
-        click.echo(
-            f"mean={_fmt(mean)} variance={_fmt(variance)} "
-            f"fft_mean={_fmt(dist.mean(0))} fft_variance={_fmt(dist.variance(0))}"
-        )
-        sys.exit(EXIT_OK)
-
-    _guard(run)
+    p = scenario.model_params
+    spec = scenario.closed
+    mean, variance = jc_closed_statistics(p, spec.weights, spec.mode, spec.time)
+    dist = reconstruct_from_mgf(
+        lambda chi: closed_mgf(
+            p,
+            spec.weights,
+            (chi[0], 0.0) if spec.mode == 1 else (0.0, chi[0]),
+            spec.time,
+        ),
+        1,
+        scenario.numerics.n_fft,
+        signed=True,
+    )
+    header = [
+        "time", "mode", "mean", "variance", "fft_mean", "fft_variance",
+        "clipped_mass",
+    ]
+    row = [
+        spec.time, spec.mode, mean, variance,
+        dist.mean(0), dist.variance(0),
+        float(dist.metadata["clipped_mass"]),
+    ]
+    path = _single_output_path(out, scenario.output, "closed.csv")
+    if path:
+        _write_csv(path, header, [row])
+    click.echo(
+        f"mean={_fmt(mean)} variance={_fmt(variance)} "
+        f"fft_mean={_fmt(dist.mean(0))} fft_variance={_fmt(dist.variance(0))}"
+    )
+    return EXIT_OK
 
 
-@main.command()
-@shared_options
-def conserve(config, out, threads, method):
+@_command("conserve")
+def _conserve(scenario: Scenario, out) -> int:
     """Drive-vs-bath photon-ledger consistency check."""
-    def run():
-        scenario = _load(config, method, threads)
-        model = build_model(scenario)
-        rep = conservation_check(model, method=scenario.method, h=scenario.numerics.h)
-        status = "PASS" if rep.passed else "FAIL"
-        worst = max(abs(rep.flux_residual), abs(rep.noise_residual))
-        line = (
-            f"{status} max_violation={_fmt(worst)} "
-            f"flux_residual={_fmt(rep.flux_residual)} "
-            f"noise_residual={_fmt(rep.noise_residual)}"
+    model = build_model(scenario)
+    rep = conservation_check(model, method=scenario.method, h=scenario.numerics.h)
+    status = "PASS" if rep.passed else "FAIL"
+    worst = max(abs(rep.flux_residual), abs(rep.noise_residual))
+    line = (
+        f"{status} max_violation={_fmt(worst)} "
+        f"flux_residual={_fmt(rep.flux_residual)} "
+        f"noise_residual={_fmt(rep.noise_residual)}"
+    )
+    click.echo(line)
+    path = _single_output_path(out, scenario.output, "conserve.csv")
+    if path:
+        _write_csv(
+            path,
+            ["status", "flux_residual", "noise_residual", "I_drive", "I_bath",
+             "sigma2_drive", "sigma2_bath"],
+            [[status, rep.flux_residual, rep.noise_residual, rep.drive.flux,
+              rep.bath.flux, rep.drive.noise, rep.bath.noise]],
         )
-        click.echo(line)
-        path = _single_output_path(out, scenario.output, "conserve.csv")
-        if path:
-            _write_csv(
-                path,
-                ["status", "flux_residual", "noise_residual", "I_drive", "I_bath",
-                 "sigma2_drive", "sigma2_bath"],
-                [[status, rep.flux_residual, rep.noise_residual, rep.drive.flux,
-                  rep.bath.flux, rep.drive.noise, rep.bath.noise]],
-            )
-        sys.exit(EXIT_OK if rep.passed else EXIT_PARTIAL)
-
-    _guard(run)
+    return EXIT_OK if rep.passed else EXIT_PARTIAL
 
 
-@main.command()
-@shared_options
-def fig2(config, out, threads, method):
-    """Probe-flux/noise sweeps (detuning, amplitude, gamma) x three phases."""
-    _guard(lambda: _sweep_command("fig2", "fig2.yaml", config, out, threads, method))
-
-
-@main.command()
-@shared_options
-def fig3(config, out, threads, method):
+@_command("fig3", "fig3.yaml", kind="jc")
+def _fig3(scenario: Scenario, out) -> int:
     """Photon-number distributions of the probe mode and the joint pair."""
-    def run():
-        scenario = _load(config, method, threads, "fig3.yaml")
-        _require_kind(scenario, "jc", "fig3")
-        spec = scenario.distribution
-        law1 = GaussianLaw((spec.nbar[0],), (spec.sigma2[0],))
-        base: JcParams = scenario.model_params
-        # (b): single-mode marginal at phi = 0, strong dissipation
-        p_b = apply_sweep_value(apply_sweep_value(base, "phi2", 0.0), "gamma", 0.1)
-        model_b = JaynesCummingsModel(p_b)
-        rows = []
-        for t in (0.0, 25.0, 50.0):
-            dist = reconstruct(
-                model_b, model_b.stationary_vector(), law1, t, (1,),
-                scenario.numerics.n_fft,
-            )
-            for n, prob in zip(dist.offsets[0], dist.probabilities):
-                rows.append([t, int(n), float(prob)])
-        # (c): joint distribution at phi = pi/2, weak dissipation
-        p_c = apply_sweep_value(
-            apply_sweep_value(base, "phi2", math.pi / 2), "gamma", 0.001
-        )
-        model_c = JaynesCummingsModel(p_c)
-        law2 = GaussianLaw(
-            (spec.nbar[0], spec.nbar[0]), (spec.sigma2[0], spec.sigma2[0])
-        )
-        n_joint = scenario.numerics.n_fft
-        nthreads = scenario.numerics.threads
-
-        def joint_sampler(grid):
-            row_chunks = np.array_split(np.arange(len(grid)), max(nthreads * 4, 1))
-            payloads = [
-                (p_c, spec.nbar[0], spec.sigma2[0], 50.0, grid, chunk)
-                for chunk in row_chunks
-                if len(chunk)
-            ]
-            results = _map_points(_joint_rows, payloads, nthreads)
-            samples = np.empty((len(grid), len(grid)), dtype=complex)
-            for rows_idx, values in results:
-                samples[rows_idx, :] = values
-            return samples
-
-        dist = reconstruct(
-            model_c, model_c.stationary_vector(), law2, 50.0, (1, 2), n_joint,
-            sampler=joint_sampler,
-        )
-        # both windows fit (else WindowOverflowError above): only now write
-        out_dir = out or scenario.output or "."
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "fig3_marginal.csv")
-        _write_csv(path, ["time", "n_1", "probability"], rows)
+    spec = scenario.distribution
+    n = scenario.numerics.n_fft
+    mapper = partial(_map_points, threads=scenario.numerics.threads)
+    base = scenario.model_params
+    # (b): single-mode marginal at phi = 0, strong dissipation
+    model_b = JaynesCummingsModel(
+        apply_sweep_value(apply_sweep_value(base, "phi2", 0.0), "gamma", 0.1)
+    )
+    law1 = GaussianLaw((spec.nbar[0],), (spec.sigma2[0],))
+    marginal = []
+    for t in (0.0, 25.0, 50.0):
+        dist = reconstruct(model_b, model_b.stationary_vector(), law1, t, (1,), n, mapper)
+        marginal += [[t] + row for row in _table(dist)[1]]
+    # (c): joint distribution at phi = pi/2, weak dissipation
+    model_c = JaynesCummingsModel(
+        apply_sweep_value(apply_sweep_value(base, "phi2", math.pi / 2), "gamma", 0.001)
+    )
+    law2 = GaussianLaw((spec.nbar[0],) * 2, (spec.sigma2[0],) * 2)
+    joint = reconstruct(model_c, model_c.stationary_vector(), law2, 50.0, (1, 2), n, mapper)
+    # both windows fit (else WindowOverflowError above): only now write
+    out_dir = out or scenario.output or "."
+    os.makedirs(out_dir, exist_ok=True)
+    tables = [("fig3_marginal.csv", ["time", "n_1", "probability"], marginal),
+              ("fig3_joint.csv", *_table(joint))]
+    for name, header, rows in tables:
+        path = os.path.join(out_dir, name)
+        _write_csv(path, header, rows)
         click.echo(f"wrote {path} ({len(rows)} rows)")
-        rows = [
-            [int(n1), int(n2), float(dist.probabilities[i, j])]
-            for i, n1 in enumerate(dist.offsets[0])
-            for j, n2 in enumerate(dist.offsets[1])
-        ]
-        path = os.path.join(out_dir, "fig3_joint.csv")
-        _write_csv(path, ["n_1", "n_2", "probability"], rows)
-        click.echo(f"wrote {path} ({len(rows)} rows)")
-        sys.exit(EXIT_OK)
-
-    _guard(run)
+    return EXIT_OK
 
 
-@main.command()
-@shared_options
-def fig4(config, out, threads, method):
+@_command("fig4", "fig4.yaml", kind="lambda", sweep=True)
+def _fig4(scenario: Scenario, out) -> int:
     """Signal-mode flux vs detuning: closed-form PT next to Sambe-space numerics."""
-    def run():
-        scenario = _load(config, method, threads, "fig4.yaml")
-        _require_kind(scenario, "lambda", "fig4")
-        path = _single_output_path(out, scenario.output, "fig4.csv") or "fig4.csv"
-        failed = _run_sweep(
-            scenario, _sweeps(scenario)[0], path, _fig4_rows, _FIG4_HEADER,
-            lambda x, rv, params: [x, getattr(params, "r", math.nan)],
-        )
-        sys.exit(EXIT_PARTIAL if failed else EXIT_OK)
-
-    _guard(run)
-
-
-def _joint_rows(payload):
-    """One block of rows of the two-mode MGF sample grid (worker-side)."""
-    params, nbar, sigma2, t, grid, rows_idx = payload
-    model = JaynesCummingsModel(params)
-    rho0 = model.stationary_vector()
-    law = GaussianLaw((nbar, nbar), (sigma2, sigma2))
-    values = np.empty((len(rows_idx), len(grid)), dtype=complex)
-    for i, ridx in enumerate(rows_idx):
-        x1 = grid[ridx]
-        for j, x2 in enumerate(grid):
-            fields = CountingFields((x1, x2), (0.0,))
-            dyn = dynamical_mgf(model, fields, rho0, t).value
-            values[i, j] = dyn * law.mgf((x1, x2))
-    return rows_idx, values
+    path = _single_output_path(out, scenario.output, "fig4.csv") or "fig4.csv"
+    failed = _run_sweep(
+        scenario, scenario.sweeps[0], path, _fig4_rows, _FIG4_HEADER,
+        lambda x, rv, params: [x, getattr(params, "r", math.nan)],
+    )
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 _FIG4_HEADER = [
@@ -548,19 +465,12 @@ def _fig4_point(scenario: Scenario):
         return (math.nan,) * 6 + (f"{type(exc).__name__}: {exc}",) + (math.nan,) * 4
     return (
         pt.flux, pt.noise, pt.snr, num.flux, num.noise, num.snr, "",
-        pt.stencil_error, int(pt.flagged), err, int(err > _STENCIL_FLAG_RTOL),
+        pt.stencil_error, int(pt.flagged), err, int(err > STENCIL_FLAG_RTOL),
     )
 
 
 def _fig4_rows(chunk: list[Scenario]) -> list[tuple]:
     return [_fig4_point(scenario) for scenario in chunk]
-
-
-@main.command()
-@shared_options
-def fig5(config, out, threads, method):
-    """Signal-mode statistics vs pump-modulation amplitude."""
-    _guard(lambda: _sweep_command("fig5", "fig5.yaml", config, out, threads, method))
 
 
 if __name__ == "__main__":

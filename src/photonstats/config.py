@@ -277,10 +277,12 @@ def _model(out: list, path: str, doc):
 def _sweep(out: list, path: str, doc, kind: str) -> SweepSpec | None:
     if isinstance(doc, dict):
         # the variable is required and the grid has defaults; repeat values
-        # count only under a repeat parameter, which needs them
+        # and a repeat parameter come together
         doc = {"variable": None, "start": 0.0, "stop": 1.0, "points": 2, **doc}
         if doc.get("repeat_param") is None:
-            doc.pop("repeat_values", None)
+            if "repeat_values" in doc:
+                out.append(f"{path}.repeat_values: given without a repeat_param")
+                doc.pop("repeat_values")
         else:
             doc.setdefault("repeat_values", [])
     values = _section(out, path, doc, _SWEEP[kind])
@@ -348,9 +350,9 @@ def parse_scenario(text: str, method: str | None = None,
     if threads is not None and isinstance(numerics, (dict, type(None))):
         doc["numerics"] = {**(numerics or {}), "threads": threads}
     out: list[str] = []
-    # sweep variables are the model's; a model that fails is checked as jc
-    model = _model([], "model", doc["model"])
-    top = _section(out, "", doc, _TOP[model[0] if model else "jc"])
+    # sweep variables are those of the document's model kind (jc if unknown)
+    kind = doc["model"].get("kind") if isinstance(doc["model"], dict) else None
+    top = _section(out, "", doc, _TOP[kind if kind in ("jc", "lambda") else "jc"])
     model = top.pop("model", None)
     if "sweep" in doc and "sweeps" in doc:
         out.append("sweep: give either 'sweep' or 'sweeps', not both")

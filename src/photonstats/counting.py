@@ -41,6 +41,7 @@ __all__ = [
     "Method",
     "DEFAULT_METHOD",
     "STEP_METHODS",
+    "STENCIL_FLAG_RTOL",
     "no_step_message",
     "CountingFields",
     "MgfValue",
@@ -64,7 +65,8 @@ __all__ = [
     "conservation_check",
 ]
 
-_STENCIL_FLAG_RTOL = 1e-6
+# a report whose error estimate exceeds this is flagged
+STENCIL_FLAG_RTOL = 1e-6
 
 
 class Method(enum.Enum):
@@ -132,7 +134,10 @@ class CumulantReport:
     method: Method
     h: float
     stencil_error: float
-    flagged: bool = False
+
+    @property
+    def flagged(self) -> bool:
+        return self.stencil_error > STENCIL_FLAG_RTOL
 
     @property
     def snr(self) -> float:
@@ -257,12 +262,16 @@ def spectral_gap(model) -> float:
     return float(nonzero.min()) if nonzero.size else 0.0
 
 
-def default_step(model, h: float = 1e-3, gap_divisor: float = 20.0) -> float:
+_MAX_STEP = 1e-3
+_GAP_DIVISOR = 20.0
+
+
+def default_step(model) -> float:
     """Stencil step bounded by the spectral gap (keeps lambda_0 on its branch)."""
     gap = spectral_gap(model)
     if gap == 0.0:
-        return h
-    return min(h, gap / gap_divisor)
+        return _MAX_STEP
+    return min(_MAX_STEP, gap / _GAP_DIVISOR)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +335,6 @@ def _report_from_lambda0(
         method=method,
         h=h,
         stencil_error=err,
-        flagged=err > _STENCIL_FLAG_RTOL,
     )
 
 
@@ -394,7 +402,6 @@ def cumulants_charpoly(
         method=Method.CHARPOLY,
         h=2.0 * math.pi / derivs.n_samples,
         stencil_error=err,
-        flagged=err > _STENCIL_FLAG_RTOL,
     )
 
 
@@ -525,7 +532,6 @@ def _pseudo_inverse_report(selector: Selector, flux, noise, err) -> CumulantRepo
         method=Method.PSEUDO_INVERSE,
         h=0.0,
         stencil_error=float(err),
-        flagged=bool(err > _STENCIL_FLAG_RTOL),
     )
 
 
@@ -682,7 +688,6 @@ def cumulants_periodic(
         method=Method.PERIODIC_NUMERIC,
         h=0.0,
         stencil_error=err,
-        flagged=err > _STENCIL_FLAG_RTOL,
     )
 
 

@@ -9,6 +9,7 @@ integers; the window is centered on the MGF-derived mean.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -131,7 +132,6 @@ def reconstruct_from_mgf(
     mgf: Callable[[tuple[float, ...]], complex],
     n_modes: int,
     n: int = 1024,
-    metadata: dict | None = None,
     signed: bool = False,
     sampler: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> PhotonDistribution:
@@ -140,7 +140,8 @@ def reconstruct_from_mgf(
     ``mgf`` maps a tuple of counting angles (one per resolved mode) to a
     complex MGF value.  The integer window per mode is centered on the
     MGF-derived mean and must cover mean +/- 6 sigma, otherwise a
-    :class:`WindowOverflowError` suggests a sufficient N.
+    :class:`WindowOverflowError` suggests a sufficient N.  A ``sampler``
+    maps the N grid angles to the grid of MGF samples in place of ``mgf``.
 
     With ``signed=True`` negative values are kept instead of clipped.  A
     lossless emitter measured tomographically yields a signed
@@ -161,10 +162,7 @@ def reconstruct_from_mgf(
         centers.append(int(round(mean)))
     grid = 2.0 * np.pi * np.arange(n) / n
     if sampler is not None:
-        samples = np.asarray(sampler(grid), dtype=complex)
-        expected = (n,) if n_modes == 1 else (n, n)
-        if samples.shape != expected:
-            raise ValueError(f"sampler returned shape {samples.shape}, expected {expected}")
+        samples = sampler(grid)
     elif n_modes == 1:
         samples = np.array([mgf((x,)) for x in grid])
     else:
@@ -184,8 +182,7 @@ def reconstruct_from_mgf(
     if total <= 0:
         raise ValueError("reconstruction produced no probability mass")
     clipped = clipped / total
-    meta = dict(metadata or {})
-    meta.update(
+    meta = dict(
         n=n,
         signed=signed,
         norm_before_clip=norm_before,
@@ -212,6 +209,29 @@ def _window(raw: np.ndarray, centers: list[int], n: int):
     return offsets, out
 
 
+# blocks of grid rows per distribution, one row-function call each: fixed, so
+# that the samples do not depend on the mapping, and a few per worker
+_ROW_BLOCKS = 16
+
+
+def _mgf_block(payload) -> tuple[np.ndarray, int]:
+    """MGF samples over the product of the resolved modes' angle arrays, one
+    row per first-mode angle, and their count of expm fallbacks.  A sample
+    is the dynamical MGF (matter-mediated exchange, from the dressed
+    generator) times the initial photon law's MGF of the resolved modes."""
+    model, rho0_vec, law, t, modes, angles = payload
+    values, fallbacks = [], 0
+    for chi_sel in itertools.product(*angles):
+        chi = [0.0] * model.n_modes
+        for m, x in zip(modes, chi_sel):
+            chi[m - 1] = x
+        fields = CountingFields(tuple(chi), (0.0,) * model.n_baths)
+        dyn = dynamical_mgf(model, fields, rho0_vec, t)
+        fallbacks += dyn.fallback
+        values.append(dyn.value * law.mgf(chi_sel))
+    return np.array(values).reshape(len(angles[0]), -1), fallbacks
+
+
 def reconstruct(
     model,
     rho0_vec,
@@ -219,15 +239,15 @@ def reconstruct(
     t: float,
     modes: Sequence[int],
     n: int = 1024,
-    sampler: Callable[[np.ndarray], np.ndarray] | None = None,
+    mapper: Callable = map,
 ) -> PhotonDistribution:
     """Distribution of the selected drive modes at time t.
 
-    The total MGF factorizes into the dynamical part (matter-mediated
-    exchange, from the dressed generator) and the initial photon statistics
-    of the resolved modes.  ``expm_fallbacks`` in the metadata counts the
-    samples, moment samples included, that fell back to expm; it is absent
-    when a ``sampler`` computes the grid.
+    The grid is sampled in blocks of rows, one row-function call per block
+    through ``mapper(row_function, payloads)``, which must keep the order
+    as the builtin ``map`` does; a process-pool map runs the blocks in
+    workers.  ``expm_fallbacks`` in the metadata counts the samples, moment
+    samples included, that fell back to expm.
     """
     modes = tuple(int(m) for m in modes)
     if any(not 1 <= m <= model.n_modes for m in modes):
@@ -235,27 +255,32 @@ def reconstruct(
     if len(set(modes)) != len(modes):
         raise ValueError("duplicate modes")
 
-    fallbacks = 0
+    fallbacks = []  # per call of the row function
 
     def mgf(chi_sel: tuple[float, ...]) -> complex:
-        nonlocal fallbacks
-        chi = [0.0] * model.n_modes
-        for m, x in zip(modes, chi_sel):
-            chi[m - 1] = x
-        fields = CountingFields(tuple(chi), (0.0,) * model.n_baths)
-        dyn = dynamical_mgf(model, fields, rho0_vec, t)
-        fallbacks += dyn.fallback
-        return dyn.value * law.mgf(chi_sel)
+        value, count = _mgf_block((model, rho0_vec, law, t, modes, [(x,) for x in chi_sel]))
+        fallbacks.append(count)
+        return value[0, 0]
+
+    def sampler(grid: np.ndarray) -> np.ndarray:
+        blocks = np.array_split(np.arange(n), _ROW_BLOCKS)
+        inner = (grid,) * (len(modes) - 1)
+        payloads = [(model, rho0_vec, law, t, modes, (grid[rows],) + inner) for rows in blocks]
+        samples = np.empty((n, n ** (len(modes) - 1)), dtype=complex)
+        for rows, (values, count) in zip(blocks, mapper(_mgf_block, payloads)):
+            samples[rows] = values
+            fallbacks.append(count)
+        return samples.reshape((n,) * len(modes))
 
     dist = reconstruct_from_mgf(
         mgf,
         len(modes),
         n,
-        metadata={"time": t, "model": type(model).__name__, "modes": modes},
         sampler=sampler,
     )
-    if sampler is None:
-        dist.metadata["expm_fallbacks"] = fallbacks
+    dist.metadata.update(
+        time=t, model=type(model).__name__, modes=modes, expm_fallbacks=sum(fallbacks)
+    )
     return dist
 
 

@@ -33,15 +33,18 @@ __all__ = [
 ]
 
 
+# right-eigenvector condition number above which a matrix counts as defective
+DEFECTIVE_THRESHOLD = 1e12
+
+
 class DefectiveMatrixError(ValueError):
     """Raised when an eigenvector matrix is numerically singular."""
 
-    def __init__(self, cond: float, threshold: float):
+    def __init__(self, cond: float):
         self.cond = cond
-        self.threshold = threshold
         super().__init__(
             f"eigenvector matrix condition number {cond:.3e} exceeds "
-            f"threshold {threshold:.3e}; matrix is (numerically) defective"
+            f"threshold {DEFECTIVE_THRESHOLD:.3e}; matrix is (numerically) defective"
         )
 
 
@@ -121,13 +124,11 @@ class SpectralDecomposition:
         return self.eigenvalues.size
 
 
-def spectral_decompose(
-    a: np.ndarray, defective_threshold: float = 1e12
-) -> SpectralDecomposition:
+def spectral_decompose(a: np.ndarray) -> SpectralDecomposition:
     """Eigen-decompose with left vectors from inversion of the right matrix.
 
     Raises :class:`DefectiveMatrixError` when the right-eigenvector matrix
-    condition number exceeds ``defective_threshold``.
+    condition number exceeds ``DEFECTIVE_THRESHOLD``.
     """
     import scipy.linalg  # imported here so that importing the package skips scipy
     a = np.asarray(a, dtype=complex)
@@ -136,8 +137,8 @@ def spectral_decompose(
     evals = evals[order]
     right = right[:, order]
     cond = float(np.linalg.cond(right))
-    if not np.isfinite(cond) or cond > defective_threshold:
-        raise DefectiveMatrixError(cond, defective_threshold)
+    if not np.isfinite(cond) or cond > DEFECTIVE_THRESHOLD:
+        raise DefectiveMatrixError(cond)
     left = np.linalg.inv(right)
     return SpectralDecomposition(eigenvalues=evals, right=right, left=left, cond=cond)
 
@@ -151,12 +152,7 @@ class PropagationResult:
     fallback: bool = False
 
 
-def propagate(
-    a: np.ndarray,
-    v0: np.ndarray,
-    t: float,
-    defective_threshold: float = 1e12,
-) -> PropagationResult:
+def propagate(a: np.ndarray, v0: np.ndarray, t: float) -> PropagationResult:
     """Evaluate exp(a t) v0.
 
     The spectral route is tried first; when the decomposition is
@@ -168,7 +164,7 @@ def propagate(
     a = np.asarray(a, dtype=complex)
     v0 = np.asarray(v0, dtype=complex)
     try:
-        dec = spectral_decompose(a, defective_threshold)
+        dec = spectral_decompose(a)
     except DefectiveMatrixError:
         import scipy.linalg
         v = scipy.linalg.expm(a * t) @ v0

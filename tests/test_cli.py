@@ -224,6 +224,25 @@ def test_figure_commands_refuse_bad_configurations(runner, tmp_path, command, do
     assert not list(tmp_path.glob("*.csv"))
 
 
+# a two-mode distribution whose MGF grid rows run in worker processes
+JOINT_DOC = """
+model:
+  kind: jc
+  eps_delta: 0.1
+  omega2: 1.0
+  phi2: 1.5707963267948966
+  gamma: 0.1
+task: Distribution
+distribution:
+  modes: [1, 2]
+  law: gaussian
+  nbar: [1000.0, 1000.0]
+  sigma2: [25.0, 25.0]
+  time: 10.0
+numerics:
+  n_fft: 128
+"""
+
 # 160 points on the default route: the stacked chunks cut the grid mid-sweep
 LONG_SCAN_DOC = SCAN_DOC.replace("method: AnalyticOracle\n", "").replace(
     "points: 5", "points: 80"
@@ -236,6 +255,7 @@ LONG_SCAN_DOC = SCAN_DOC.replace("method: AnalyticOracle\n", "").replace(
         ("scan", SCAN_DOC, "scan_eps_delta.csv"),
         ("scan", LONG_SCAN_DOC, "scan_eps_delta.csv"),
         ("fig4", LAMBDA_MODEL + DETUNING_SWEEP, "fig4.csv"),
+        ("distribution", JOINT_DOC, "distribution.csv"),
     ],
 )
 def test_worker_processes_write_the_same_bytes(runner, tmp_path, command, doc, name):
@@ -248,7 +268,9 @@ def test_worker_processes_write_the_same_bytes(runner, tmp_path, command, doc, n
             main, [command, "--config", cfg, "--out", str(out), "--threads", threads]
         )
         assert result.exit_code == 0, result.output
-        outputs.append((out / name).read_bytes())
+        # the CSV, and a distribution's JSON sidecar
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert name in outputs[0]
     assert outputs[0] == outputs[1]
 
 

@@ -367,6 +367,10 @@ INVALID = [
      ["sweep.start: must be positive for a log sweep"]),
     ("repeat-param-without-values", JC + SWEEP + "  repeat_param: phi2\n",
      ["sweep.repeat_values: expected a nonempty list"]),
+    ("repeat-values-without-param", JC + "sweep:\n  variable: gamma\n  repeat_values: bogus\n",
+     ["sweep.repeat_values: given without a repeat_param"]),
+    ("sweep-variable-of-failed-lambda", LAMBDA + "  gamma: -1\nsweep:\n  variable: omega_delta\n",
+     ["model: gamma and omega_s must be nonnegative"]),
     ("repeat-param-unknown", JC + SWEEP + "  repeat_param: r\n  repeat_values: [1]\n",
      ["sweep.repeat_param: unknown parameter 'r'"]),
     ("repeat-values-string", JC + SWEEP + "  repeat_param: phi2\n  repeat_values: [0.0, a]\n",

@@ -163,14 +163,22 @@ class TestExpmFallbacks:
         # two propagations per sample; moment samples come on top of the grid
         assert dist.metadata["expm_fallbacks"] == model.generators // 2 > 128
 
-    def test_count_is_absent_with_a_sampler(self):
-        model = NilpotentModel()
+    def test_count_survives_a_row_mapper(self):
         law = GaussianLaw((40.0,), (9.0,))
-        dist = reconstruct(
-            model, model.stationary_vector(), law, 2.0, (1,), 128,
-            sampler=lambda grid: np.array([law.mgf((x,)) for x in grid]),
-        )
-        assert "expm_fallbacks" not in dist.metadata
+        calls = []
+
+        def mapper(fn, payloads):
+            calls.append(len(payloads))
+            return [fn(payload) for payload in payloads]
+
+        model = NilpotentModel()
+        dist = reconstruct(model, model.stationary_vector(), law, 2.0, (1,), 128, mapper)
+        ref = reconstruct(NilpotentModel(), model.stationary_vector(), law, 2.0, (1,), 128)
+        # one call maps every block of grid rows, in order
+        assert len(calls) == 1 and 1 < calls[0] <= 128
+        assert np.array_equal(dist.probabilities, ref.probabilities)
+        assert dist.metadata == ref.metadata
+        assert dist.metadata["expm_fallbacks"] == model.generators // 2 > 128
 
 
 class TestClosedMgf:
