@@ -277,12 +277,11 @@ def _model(out: list, path: str, doc):
 def _sweep(out: list, path: str, doc, kind: str) -> SweepSpec | None:
     if isinstance(doc, dict):
         # the variable is required and the grid has defaults; repeat values
-        # and a repeat parameter come together
+        # and a repeat parameter come together (null or [] gives no values)
         doc = {"variable": None, "start": 0.0, "stop": 1.0, "points": 2, **doc}
         if doc.get("repeat_param") is None:
-            if "repeat_values" in doc:
+            if doc.pop("repeat_values", None) not in (None, []):
                 out.append(f"{path}.repeat_values: given without a repeat_param")
-                doc.pop("repeat_values")
         else:
             doc.setdefault("repeat_values", [])
     values = _section(out, path, doc, _SWEEP[kind])

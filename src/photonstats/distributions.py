@@ -140,8 +140,9 @@ def reconstruct_from_mgf(
     ``mgf`` maps a tuple of counting angles (one per resolved mode) to a
     complex MGF value.  The integer window per mode is centered on the
     MGF-derived mean and must cover mean +/- 6 sigma, otherwise a
-    :class:`WindowOverflowError` suggests a sufficient N.  A ``sampler``
-    maps the N grid angles to the grid of MGF samples in place of ``mgf``.
+    :class:`WindowOverflowError` suggests a sufficient N.  The grid is
+    sampled by calling ``mgf`` at every point of it, unless a ``sampler``
+    maps the N grid angles to the (N,) * n_modes array of samples itself.
 
     With ``signed=True`` negative values are kept instead of clipped.  A
     lossless emitter measured tomographically yields a signed
@@ -161,12 +162,14 @@ def reconstruct_from_mgf(
             raise WindowOverflowError(needed, n)
         centers.append(int(round(mean)))
     grid = 2.0 * np.pi * np.arange(n) / n
-    if sampler is not None:
-        samples = sampler(grid)
-    elif n_modes == 1:
-        samples = np.array([mgf((x,)) for x in grid])
+    shape = (n,) * n_modes
+    if sampler is None:
+        samples = np.array([mgf(chi) for chi in itertools.product(grid, repeat=n_modes)])
+        samples = samples.reshape(shape)
     else:
-        samples = np.array([[mgf((x1, x2)) for x2 in grid] for x1 in grid])
+        samples = np.asarray(sampler(grid), dtype=complex)
+        if samples.shape != shape:
+            raise ValueError(f"sampler returned shape {samples.shape}, expected {shape}")
     raw = np.fft.ifft(samples) if n_modes == 1 else np.fft.ifft2(samples)
     offsets, probs = _window(raw, centers, n)
     max_imag = float(np.abs(probs.imag).max())

@@ -402,3 +402,16 @@ def test_exact_violations(doc, violations):
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(doc)
     assert exc.value.violations == violations
+
+
+@pytest.mark.parametrize("sweep", [
+    "  repeat_values: null\n",
+    "  repeat_values: []\n",
+    "  repeat_param: null\n  repeat_values: null\n",
+    "  repeat_param: null\n  repeat_values: []\n",
+])
+def test_unset_repeat_values_parse(sweep):
+    # null means unset, as elsewhere in the schema, and [] gives no values
+    s = parse_scenario(JC + SWEEP + sweep)
+    assert s.sweeps[0].repeat_param is None
+    assert s.sweeps[0].repeat_values == ()

@@ -69,6 +69,25 @@ class TestReconstructFromMgf:
             if int(n) in common:
                 assert abs(common[int(n)] - p) < 1e-8
 
+    def test_two_mode_grid_from_mgf_alone(self):
+        # without a sampler every grid point is one mgf call, for either
+        # mode count; the marginals of independent modes match their
+        # one-mode reconstructions up to the clipping of FFT noise
+        law = GaussianLaw((30.0, 60.0), (4.0, 9.0))
+        joint = reconstruct_from_mgf(law.mgf, 2, 128)
+        for mode in range(2):
+            single = GaussianLaw((law.nbar[mode],), (law.sigma2[mode],))
+            ref = reconstruct_from_mgf(single.mgf, 1, 128)
+            assert np.array_equal(joint.offsets[mode], ref.offsets[0])
+            assert np.abs(joint.probabilities.sum(axis=1 - mode) - ref.probabilities).max() < 1e-7
+
+    def test_sampler_shape_is_checked(self):
+        law = PoissonLaw((2.0,))
+        with pytest.raises(ValueError, match=r"shape \(128, 128\), expected \(128,\)"):
+            reconstruct_from_mgf(
+                law.mgf, 1, 128, sampler=lambda grid: np.ones((grid.size, grid.size))
+            )
+
     def test_clipping_is_recorded(self):
         law = PoissonLaw((4.0,))
         dist = reconstruct_from_mgf(lambda chi: law.mgf(chi), 1, 256)
