@@ -65,6 +65,15 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _write_distribution(path: str, header: list[str], rows: list[list], metadata) -> None:
+    """A distribution table as CSV, and its metadata as the JSON sidecar
+    ``path + '.json'``."""
+    _write_csv(path, header, rows)
+    with open(path + ".json", "w", encoding="utf-8") as fh:
+        json.dump(metadata, fh, indent=2, sort_keys=True, default=str)
+    click.echo(f"wrote {path} ({len(rows)} rows)")
+
+
 def _model_params(scenario: Scenario):
     """The model parameters; a sweep point whose values they refused carries
     that error instead, and it is raised here."""
@@ -328,11 +337,7 @@ def _distribution(scenario: Scenario, out) -> int:
         partial(_map_points, threads=scenario.numerics.threads),
     )
     path = _single_output_path(out, scenario.output, "distribution.csv") or "distribution.csv"
-    header, rows = _table(dist)
-    _write_csv(path, header, rows)
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(dist.metadata, fh, indent=2, sort_keys=True, default=str)
-    click.echo(f"wrote {path} ({len(rows)} rows)")
+    _write_distribution(path, *_table(dist), dist.metadata)
     return EXIT_OK
 
 
@@ -409,10 +414,11 @@ def _fig3(scenario: Scenario, out) -> int:
         apply_sweep_value(apply_sweep_value(base, "phi2", 0.0), "gamma", 0.1)
     )
     law1 = GaussianLaw((spec.nbar[0],), (spec.sigma2[0],))
-    marginal = []
+    marginal, marginal_metadata = [], []
     for t in (0.0, 25.0, 50.0):
         dist = reconstruct(model_b, model_b.stationary_vector(), law1, t, (1,), n, mapper)
         marginal += [[t] + row for row in _table(dist)[1]]
+        marginal_metadata.append(dist.metadata)
     # (c): joint distribution at phi = pi/2, weak dissipation
     model_c = JaynesCummingsModel(
         apply_sweep_value(apply_sweep_value(base, "phi2", math.pi / 2), "gamma", 0.001)
@@ -422,12 +428,10 @@ def _fig3(scenario: Scenario, out) -> int:
     # both windows fit (else WindowOverflowError above): only now write
     out_dir = out or scenario.output or "."
     os.makedirs(out_dir, exist_ok=True)
-    tables = [("fig3_marginal.csv", ["time", "n_1", "probability"], marginal),
-              ("fig3_joint.csv", *_table(joint))]
-    for name, header, rows in tables:
-        path = os.path.join(out_dir, name)
-        _write_csv(path, header, rows)
-        click.echo(f"wrote {path} ({len(rows)} rows)")
+    tables = [("fig3_marginal.csv", ["time", "n_1", "probability"], marginal, marginal_metadata),
+              ("fig3_joint.csv", *_table(joint), joint.metadata)]
+    for name, header, rows, metadata in tables:
+        _write_distribution(os.path.join(out_dir, name), header, rows, metadata)
     return EXIT_OK
 
 

@@ -221,6 +221,8 @@ _MODEL = {
 }
 _VARIABLES = {"jc": set(_MODEL["jc"]) - {"kind"},
               "lambda": set(_MODEL["lambda"]) - {"kind"} | {"omega_delta"}}
+# a document of unknown kind has only its kind refused: any kind's variable passes
+_VARIABLES[None] = _VARIABLES["jc"] | _VARIABLES["lambda"]
 _SWEEP = {
     kind: {
         "variable": _one_of(names),
@@ -324,7 +326,7 @@ _TOP = {
         "closed": _spec(ClosedSpec, _CLOSED),
         "output": _nullable(_instance(str, "a path string")),
     }
-    for kind in _PARAMS
+    for kind in _VARIABLES
 }
 
 
@@ -349,9 +351,9 @@ def parse_scenario(text: str, method: str | None = None,
     if threads is not None and isinstance(numerics, (dict, type(None))):
         doc["numerics"] = {**(numerics or {}), "threads": threads}
     out: list[str] = []
-    # sweep variables are those of the document's model kind (jc if unknown)
+    # sweep variables are those of the document's model kind, if it is known
     kind = doc["model"].get("kind") if isinstance(doc["model"], dict) else None
-    top = _section(out, "", doc, _TOP[kind if kind in ("jc", "lambda") else "jc"])
+    top = _section(out, "", doc, _TOP[kind if kind in ("jc", "lambda") else None])
     model = top.pop("model", None)
     if "sweep" in doc and "sweeps" in doc:
         out.append("sweep: give either 'sweep' or 'sweeps', not both")

@@ -54,7 +54,9 @@ __all__ = [
     "lambda0_nearest",
     "spectral_gap",
     "default_step",
+    "field_samples",
     "field_derivatives",
+    "flux_and_noise",
     "cumulants",
     "cumulants_spectral",
     "cumulants_charpoly",
@@ -67,6 +69,8 @@ __all__ = [
 
 # a report whose error estimate exceeds this is flagged
 STENCIL_FLAG_RTOL = 1e-6
+# Newton steps that refine each stencil eigenvalue (lambda0_nearest)
+_NEWTON_STEPS = 2
 
 
 class Method(enum.Enum):
@@ -216,7 +220,7 @@ def gaussian_initial_mgf(
 # the slow eigenvalue
 
 
-def _newton_polish(liouv: np.ndarray, lam: complex, steps: int = 2) -> complex:
+def _newton_polish(liouv: np.ndarray, lam: complex) -> complex:
     """Refine an eigenvalue by Newton iteration on the determinant.
 
     The update lam -> lam - 1/tr[(lam I - L)^{-1}] drives det(lam I - L) to
@@ -224,7 +228,7 @@ def _newton_polish(liouv: np.ndarray, lam: complex, steps: int = 2) -> complex:
     matters when eigenvalue derivatives are later amplified by 1/h^2.
     """
     eye = np.eye(liouv.shape[0], dtype=complex)
-    for _ in range(steps):
+    for _ in range(_NEWTON_STEPS):
         try:
             inv = np.linalg.inv(lam * eye - liouv)
         except np.linalg.LinAlgError:
@@ -310,6 +314,16 @@ def _refuse_step(method: Method, h: float | None) -> None:
         raise ValueError(no_step_message(method))
 
 
+def flux_and_noise(d1, d2):
+    """Flux Re(i lambda') and noise -Re(lambda'') from the first two field
+    derivatives of a slow eigenvalue (or the mean and variance from those of
+    a log-MGF); floats for scalars, elementwise for arrays."""
+    flux, noise = (1j * d1).real, (-d2).real
+    if np.ndim(flux):
+        return flux, noise
+    return float(flux), float(noise)
+
+
 def _report_from_lambda0(
     f: Callable[[float], complex],
     selector: Selector,
@@ -325,8 +339,7 @@ def _report_from_lambda0(
 
     d1 = central_derivative(fc, 1, h)
     d2 = central_derivative(fc, 2, h)
-    flux = float((1j * d1.value).real)
-    noise = float((-d2.value).real)
+    flux, noise = flux_and_noise(d1.value, d2.value)
     err = max(d1.rel_error, d2.rel_error)
     return CumulantReport(
         mode=selector,
@@ -394,14 +407,14 @@ def cumulants_charpoly(
     a2 = derivs.at_zero.coefficients[2]
     dlam = -derivs.da0 / a1
     d2lam = -(derivs.d2a0 + 2.0 * derivs.da1 * dlam + 2.0 * a2 * dlam * dlam) / a1
-    err = derivs.rel_error
+    flux, noise = flux_and_noise(dlam, d2lam)
     return CumulantReport(
         mode=selector,
-        flux=float((1j * dlam).real),
-        noise=float((-d2lam).real),
+        flux=flux,
+        noise=noise,
         method=Method.CHARPOLY,
         h=2.0 * math.pi / derivs.n_samples,
-        stencil_error=err,
+        stencil_error=derivs.rel_error,
     )
 
 
@@ -464,7 +477,7 @@ def _slow_exponent_rates(u, du, d2u, period: float) -> tuple[float, float]:
     )
     lam1 = mu1 / (mu * period)
     lam2 = (mu2 / mu - (mu1 / mu) ** 2) / period
-    return float((1j * lam1).real), float((-lam2).real)
+    return flux_and_noise(lam1, lam2)
 
 
 def _rel_change(coarse: float, fine: float) -> float:
@@ -472,6 +485,32 @@ def _rel_change(coarse: float, fine: float) -> float:
 
 
 _NYQUIST_RTOL = 1e-12
+
+
+def field_samples(
+    model, selectors: Sequence[Selector], fn: Callable[[tuple, tuple], np.ndarray],
+    n: int = 4,
+) -> np.ndarray:
+    """fn(chi, xi) at the field angles 2 pi j / n, j < n, along each selector,
+    of shape (n, len(selectors)) + fn's shape; the zero-field sample is
+    taken once and shared by every selector."""
+    rows = [[_fields_for(model, s, 2.0 * math.pi * j / n) for s in selectors] for j in range(n)]
+    first = fn(rows[0][0].chi, rows[0][0].xi)
+    return np.array(
+        [[first] * len(selectors)] + [[fn(f.chi, f.xi) for f in row] for row in rows[1:]],
+        dtype=complex,
+    )
+
+
+def _degree_one_derivatives(samples: np.ndarray, axes=None):
+    """First two derivatives at zero field of ``samples`` over four field
+    angles (axis 0), and the weight of their Nyquist bin relative to the
+    largest sample over ``axes``; a share above 1e-12 raises ``ValueError``."""
+    coeffs, _, d1, d2 = fourier_derivatives(samples)
+    share = np.abs(coeffs[2:3]).max(axis=axes) / np.maximum(np.abs(samples).max(axis=axes), 1e-300)
+    if np.max(share) > _NYQUIST_RTOL:
+        raise ValueError("generator is not of trigonometric degree 1 in the field")
+    return d1, d2, share
 
 
 def field_derivatives(
@@ -485,13 +524,9 @@ def field_derivatives(
     weight relative to the largest sample is returned as the share, and a
     share above 1e-12 raises ``ValueError``.
     """
-    fields = [_fields_for(model, selector, 2.0 * math.pi * j / 4) for j in range(4)]
-    samples = np.array([fn(f.chi, f.xi) for f in fields], dtype=complex)
-    coeffs, _, d1, d2 = fourier_derivatives(samples)
-    share = float(np.abs(coeffs[2]).max()) / max(float(np.abs(samples).max()), 1e-300)
-    if share > _NYQUIST_RTOL:
-        raise ValueError("generator is not of trigonometric degree 1 in the field")
-    return samples[0], d1, d2, share
+    samples = field_samples(model, (selector,), fn)[:, 0]
+    d1, d2, share = _degree_one_derivatives(samples)
+    return samples[0], d1, d2, float(share)
 
 
 def _pseudo_inverse_rates(l0, trace, l1, l2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -520,7 +555,7 @@ def _pseudo_inverse_rates(l0, trace, l1, l2) -> tuple[np.ndarray, np.ndarray, np
     x = inverse[:, None, :dim, :dim] @ (l1 @ r - lam1 * r)
     lam2 = left @ l2 @ r - 2.0 * (left_l1 @ x)
     cond = np.abs(bordered).sum(axis=1).max(axis=1) * np.abs(inverse).sum(axis=1).max(axis=1)
-    flux, noise = (1j * lam1[..., 0, 0]).real, (-lam2[..., 0, 0]).real
+    flux, noise = flux_and_noise(lam1[..., 0, 0], lam2[..., 0, 0])
     return flux, noise, np.finfo(float).eps * cond
 
 
@@ -555,63 +590,30 @@ def cumulants_pseudo_inverse(
     A model with structure the dense inverse ignores serves the route
     itself through ``pseudo_inverse_rates(selector)``, which returns
     (flux, noise, error estimate).  :func:`cumulants_many` stacks the same
-    kernel over many models.
+    solve over many models.
     """
     _check_order(order)
     _refuse_step(Method.PSEUDO_INVERSE, h)
     if hasattr(model, "pseudo_inverse_rates"):
         return _pseudo_inverse_report(selector, *model.pseudo_inverse_rates(selector))
-    l0, l1, l2, share = field_derivatives(model, selector, model.dressed_liouvillian)
-    flux, noise, cond_error = _pseudo_inverse_rates(
-        l0[None], model.trace_vector()[None], l1[None, None], l2[None, None]
-    )
-    return _pseudo_inverse_report(selector, flux[0, 0], noise[0, 0], max(share, cond_error[0]))
+    return _dense_pseudo_inverse([model], (selector,))[0][0]
 
 
-def _stacked_pseudo_inverse(models, selectors) -> list:
+def _dense_pseudo_inverse(models, selectors) -> list[list[CumulantReport]]:
     """PseudoInverse reports of every selector for each dense model, from
-    1 + 3K generator samples per model (the zero-field one is shared) and
-    one stacked bordered inverse; None for a model to redo alone: one whose
-    sampling fails or whose generator dimension differs from the first
-    model's, or with a Nyquist share above tolerance."""
-    fields = [
-        [_fields_for(models[0], s, 2.0 * math.pi * j / 4) for j in range(4)]
-        for s in selectors
-    ]
-    samples = traces = None  # (4, n, K, d, d) and (n, d), filled in place
-    kept = []
-    for i, model in enumerate(models):
-        try:
-            l0 = model.dressed_liouvillian(fields[0][0].chi, fields[0][0].xi)
-            if samples is None:
-                samples = np.empty((4, len(models), len(fields)) + l0.shape, dtype=complex)
-                traces = np.empty((len(models), l0.shape[0]), dtype=complex)
-            n = len(kept)
-            samples[0, n] = l0
-            for k, row in enumerate(fields):
-                for j in range(1, 4):
-                    samples[j, n, k] = model.dressed_liouvillian(row[j].chi, row[j].xi)
-            traces[n] = model.trace_vector()
-        except Exception:  # redone alone, which raises as the single route does
-            continue
-        kept.append(i)
-    results: list = [None] * len(models)
-    if not kept:
-        return results
-    samples, traces = samples[:, : len(kept)], traces[: len(kept)]
-    coeffs, _, d1, d2 = fourier_derivatives(samples)
-    share = np.abs(coeffs[2]).max(axis=(-2, -1)) / np.maximum(
-        np.abs(samples).max(axis=(0, -2, -1)), 1e-300
-    )
+    1 + 3K generator samples per model and one stacked bordered inverse."""
+    samples = field_samples(
+        models[0], selectors, lambda chi, xi: [m.dressed_liouvillian(chi, xi) for m in models]
+    ).swapaxes(1, 2)  # (4, n, K, d, d)
+    d1, d2, share = _degree_one_derivatives(samples, (0, -2, -1))
+    traces = np.array([m.trace_vector() for m in models])
     flux, noise, cond_error = _pseudo_inverse_rates(samples[0, :, 0], traces, d1, d2)
     err = np.maximum(share, cond_error[:, None])
-    for n, i in enumerate(kept):
-        if share[n].max() <= _NYQUIST_RTOL:
-            results[i] = [
-                _pseudo_inverse_report(s, flux[n, k], noise[n, k], err[n, k])
-                for k, s in enumerate(selectors)
-            ]
-    return results
+    return [
+        [_pseudo_inverse_report(s, flux[n, k], noise[n, k], err[n, k])
+         for k, s in enumerate(selectors)]
+        for n in range(len(models))
+    ]
 
 
 def cumulants_many(
@@ -626,16 +628,16 @@ def cumulants_many(
     PseudoInverse without a step is stacked over the models that serve no
     ``pseudo_inverse_rates`` hook: every model is sampled once at zero field
     and three times per selector, and one stacked bordered inverse serves
-    all models and selectors.  When a stacked inverse is singular, every
-    model is redone alone, so only the degenerate one carries the error.
-    Other models and methods loop over :func:`cumulants`.
+    all models and selectors.  When the stacked solve raises, every model is
+    redone alone, so only a failing one carries the error.  Other models
+    and methods loop over :func:`cumulants`.
     """
     results: list = [None] * len(models)
     dense = [i for i, m in enumerate(models) if not hasattr(m, "pseudo_inverse_rates")]
     if method is Method.PSEUDO_INVERSE and h is None and dense:
         try:
-            stacked = _stacked_pseudo_inverse([models[i] for i in dense], selectors)
-        except DegenerateRootError:
+            stacked = _dense_pseudo_inverse([models[i] for i in dense], selectors)
+        except Exception:  # redone model by model below
             stacked = [None] * len(dense)
         for i, reports in zip(dense, stacked):
             results[i] = reports

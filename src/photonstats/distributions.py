@@ -19,6 +19,7 @@ import numpy as np
 from .counting import (
     CountingFields,
     dynamical_mgf,
+    flux_and_noise,
     gaussian_initial_mgf,
     initial_mgf,
 )
@@ -109,9 +110,11 @@ class PhotonDistribution:
         return p.sum(axis=1 - mode)
 
 
-def _mgf_moments(
-    mgf: Callable[..., complex], n_modes: int, h: float = 1e-4
-) -> tuple[list[float], list[float]]:
+# stencil step of the log-MGF derivatives that size the FFT window
+_MOMENT_STEP = 1e-4
+
+
+def _mgf_moments(mgf: Callable[..., complex], n_modes: int) -> tuple[list[float], list[float]]:
     """Mean and variance per mode from log-MGF derivatives at zero field."""
     means, variances = [], []
     for k in range(n_modes):
@@ -121,10 +124,11 @@ def _mgf_moments(
             chi[k] = x
             return np.log(mgf(tuple(chi)))
 
-        d1 = central_derivative(f, 1, h)
-        d2 = central_derivative(f, 2, h)
-        means.append(float((1j * d1.value).real))
-        variances.append(max(float((-d2.value).real), 0.0))
+        d1 = central_derivative(f, 1, _MOMENT_STEP)
+        d2 = central_derivative(f, 2, _MOMENT_STEP)
+        mean, variance = flux_and_noise(d1.value, d2.value)
+        means.append(mean)
+        variances.append(max(variance, 0.0))
     return means, variances
 
 

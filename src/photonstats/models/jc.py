@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..charpoly import CharPolyCoeffs, char_poly, fourier_derivatives
-from ..counting import CumulantReport, Method
+from ..counting import CumulantReport, Method, field_samples, flux_and_noise
 
 __all__ = [
     "JcParams",
@@ -152,50 +152,31 @@ def jc_weak_gamma_noise(p: JcParams) -> float:
     return num / den
 
 
-_FOURIER_N = 16
-
-
-def _charpoly_samples(p: JcParams, field: str) -> np.ndarray:
-    """Characteristic-polynomial coefficients over one period of one field.
-
-    Every matrix entry of the dressed generator is a trigonometric
-    polynomial of degree 1 in any single counting field, so each
-    coefficient has trigonometric degree <= 4 and is interpolated exactly
-    from 16 equispaced samples.
-    """
-    grid = 2.0 * np.pi * np.arange(_FOURIER_N) / _FOURIER_N
-    samples = np.empty((_FOURIER_N, 5), dtype=complex)
-    for j, x in enumerate(grid):
-        if field == "mode1":
-            l = jc_liouvillian(p, (x, 0.0), 0.0)
-        elif field == "mode2":
-            l = jc_liouvillian(p, (0.0, x), 0.0)
-        elif field == "drive":
-            l = jc_liouvillian(p, (x, x), 0.0)
-        elif field == "bath":
-            l = jc_liouvillian(p, (0.0, 0.0), x)
-        else:
-            raise ValueError(f"unknown counting field {field!r}")
-        samples[j] = char_poly(l).coefficients
-    return samples
-
-
-def jc_exact_cumulants(p: JcParams, field: str = "mode1") -> tuple[float, float]:
+def jc_exact_cumulants(p: JcParams, field: str | int = "mode1") -> tuple[float, float]:
     """Flux and noise rate by implicit differentiation of the exact quartic.
 
-    With P(lambda(x), x) = 0 and lambda(0) = 0, differentiating twice gives
+    ``field`` is 'mode1', 'mode2', 'drive' or 'bath', or a counting
+    selector (1 and 2 name the modes).  With
+    P(lambda(x), x) = 0 and lambda(0) = 0, differentiating twice gives
     lambda' = -a0'/a1 and lambda'' = -(a0'' + 2 a1' lambda' + 2 a2 lambda'^2)/a1.
-    The coefficient derivatives are exact Fourier interpolants, so this is a
-    non-perturbative oracle limited only by round-off.
+    Every matrix entry of the dressed generator is a trigonometric
+    polynomial of degree 1 in any single counting field, so each
+    coefficient has trigonometric degree <= 4 and its Fourier interpolant
+    over 16 equispaced samples is exact: a non-perturbative oracle limited
+    only by round-off.
     """
-    _, a, da, d2a = fourier_derivatives(_charpoly_samples(p, field))
+    model = JaynesCummingsModel(p)
+    selector = {"mode1": 1, "mode2": 2}.get(field, field)
+    samples = field_samples(
+        model, (selector,),
+        lambda chi, xi: char_poly(model.dressed_liouvillian(chi, xi)).coefficients, 16,
+    )
+    _, a, da, d2a = fourier_derivatives(samples[:, 0])
     if abs(a[1]) == 0.0:
         raise ZeroDivisionError("degenerate stationary root (a1 = 0)")
     lam1 = -da[0] / a[1]
     lam2 = -(d2a[0] + 2.0 * da[1] * lam1 + 2.0 * a[2] * lam1 * lam1) / a[1]
-    flux = float((1j * lam1).real)
-    noise = float((-lam2).real)
-    return flux, noise
+    return flux_and_noise(lam1, lam2)
 
 
 def jc_stationary_bloch(p: JcParams) -> tuple[float, float, float]:
@@ -308,8 +289,7 @@ class JaynesCummingsModel:
 
     def oracle_cumulants(self, selector) -> CumulantReport:
         """AnalyticOracle: exact cumulants from the closed-form quartic."""
-        field = {1: "mode1", 2: "mode2", "drive": "drive", "bath": "bath"}[selector]
-        flux, noise = jc_exact_cumulants(self.params, field)
+        flux, noise = jc_exact_cumulants(self.params, selector)
         return CumulantReport(
             mode=selector,
             flux=flux,

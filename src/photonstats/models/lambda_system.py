@@ -34,7 +34,7 @@ import numpy as np
 
 from ..bessel import bessel_j
 from ..charpoly import DegenerateRootError
-from ..counting import CumulantReport, Method, field_derivatives
+from ..counting import CumulantReport, Method, field_derivatives, flux_and_noise
 from ..superop import (
     BlockTridiagonalLU,
     StepConvergenceError,
@@ -268,10 +268,11 @@ class LambdaModel:
         _, d1, d2, share = field_derivatives(
             self, selector, lambda chi, xi: lambda_lambda0_pt2(self.params, chi)
         )
+        flux, noise = flux_and_noise(d1, d2)
         return CumulantReport(
             mode=selector,
-            flux=float((1j * d1).real),
-            noise=float((-d2).real),
+            flux=flux,
+            noise=noise,
             method=Method.ANALYTIC_ORACLE,
             h=0.0,
             stencil_error=share,
@@ -402,7 +403,7 @@ class _ShiftedSambe:
         for k, (d1, d2) in enumerate(derivatives):
             lam2 = (self._trace(_band_apply(self.orders, d2, s, n))
                     - 2.0 * self._trace(_band_apply(self.orders, d1, xs[..., k:k + 1], n)))
-            rates.append((float((1j * lam1[k]).real), float((-lam2).real)))
+            rates.append(flux_and_noise(lam1[k], lam2))
         return rates, max(self.stationary_residual, self.lu.residual(x, rhs))
 
 
@@ -443,10 +444,11 @@ class LambdaPeriodicModel:
         self.steps = steps
         self.check_tol = check_tol
         self.cutoff = _harmonic_cutoff(params)
+        # sorted() rather than np.unique, which imports numpy.ma on first use
+        self.orders = np.array(sorted({0, 1, -1, -params.r, params.r}))
         self._truncation = None
         self._shifted: dict[int, _ShiftedSambe] = {}
         self._derivatives: dict = {}
-        self._orders = None
 
     @property
     def period(self) -> float:
@@ -498,12 +500,10 @@ class LambdaPeriodicModel:
                 hamiltonian_superop(np.conj(amp2) * raise_, np.conj(amp2_0) * raise_),
             ),
         )
-        # sorted() rather than np.unique, which imports numpy.ma on first use
-        orders = np.array(sorted({n for n, _ in terms}))
-        mats = np.zeros((orders.size, 9, 9), dtype=complex)
+        mats = np.zeros((self.orders.size, 9, 9), dtype=complex)
         for n, m in terms:
-            mats[np.searchsorted(orders, n)] += m
-        return orders, mats
+            mats[np.searchsorted(self.orders, n)] += m
+        return self.orders, mats
 
     def liouvillian_of_t(self, chi, xi):
         """Periodic callback t -> L(t), for time-domain references."""
@@ -530,12 +530,10 @@ class LambdaPeriodicModel:
         Nyquist share, sampled once per selector and shared with the Sambe
         route and its cutoff check."""
         if selector not in self._derivatives:
-            def harmonics(chi, xi) -> np.ndarray:
-                self._orders, mats = self.time_harmonics(chi, xi)
-                return mats
-
-            self._derivatives[selector] = field_derivatives(self, selector, harmonics)
-        return (self._orders, *self._derivatives[selector])
+            self._derivatives[selector] = field_derivatives(
+                self, selector, lambda chi, xi: self.time_harmonics(chi, xi)[1]
+            )
+        return (self.orders, *self._derivatives[selector])
 
     def _shifted_sambe(self, cutoff: int) -> _ShiftedSambe:
         """The factored shifted generator at ``cutoff``, built once per cutoff

@@ -5,10 +5,14 @@ import json
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from photonstats.cli import main
+from photonstats.counting import Method, cumulants
+from photonstats.distributions import PhotonDistribution
+from photonstats.models.lambda_system import LambdaParams, LambdaPeriodicModel
 
 CUMULANTS_DOC = """
 model:
@@ -291,6 +295,28 @@ def test_fig3_writes_nothing_when_only_the_joint_window_overflows(runner, tmp_pa
     assert result.exit_code == 2, result.output
     assert "suggested N = 512" in result.stderr
     assert not list(tmp_path.glob("fig3_*.csv"))
+    assert not list(tmp_path.glob("fig3_*.json"))
+
+
+def test_fig3_writes_the_metadata_of_every_distribution(runner, tmp_path, monkeypatch):
+    # the bundled fig3 takes minutes: each distribution is a small stand-in
+    def small_distribution(model, rho0, law, t, modes, n, mapper):
+        offsets = tuple(np.arange(2) + 10 * mode for mode in modes)
+        probabilities = np.full((2,) * len(modes), 0.5 ** len(modes))
+        return PhotonDistribution(offsets, probabilities, {"time": t, "modes": list(modes)})
+
+    monkeypatch.setattr("photonstats.cli.reconstruct", small_distribution)
+    result = runner.invoke(main, ["fig3", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    marginal = json.loads((tmp_path / "fig3_marginal.csv.json").read_text())
+    assert marginal == [{"time": t, "modes": [1]} for t in (0.0, 25.0, 50.0)]
+    joint = json.loads((tmp_path / "fig3_joint.csv.json").read_text())
+    assert joint == {"time": 50.0, "modes": [1, 2]}
+    assert (tmp_path / "fig3_marginal.csv").read_text().splitlines() == [
+        "time,n_1,probability",
+        *(f"{t:.16e},{n},{0.5:.16e}" for t in (0.0, 25.0, 50.0) for n in (10, 11)),
+    ]
+    assert len((tmp_path / "fig3_joint.csv").read_text().splitlines()) == 1 + 4
 
 
 @pytest.mark.parametrize("method", ["", "method: AnalyticOracle\n"])
@@ -330,3 +356,84 @@ def test_threads_below_one_is_a_configuration_error(runner, tmp_path, monkeypatc
     assert result.exit_code == 2, result.output
     assert f"numerics.threads: must be >= 1, got {threads}" in result.stderr
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_periodic_numeric_scan_runs_the_periodic_model(runner, tmp_path):
+    cfg = write(tmp_path, "s.yaml", LAMBDA_MODEL + DETUNING_SWEEP)
+    result = runner.invoke(main, ["scan", "--config", cfg, "--out", str(tmp_path),
+                                  "--method", "PeriodicNumeric"])
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "scan_omega_delta.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["sweep_value"]) for row in rows] == [-2.0, 2.0]
+    for row in rows:
+        model = LambdaPeriodicModel(LambdaParams().with_detuning(float(row["sweep_value"])))
+        for mode in (1, 2):
+            rep = cumulants(model, mode, method=Method.PERIODIC_NUMERIC)
+            assert (float(row[f"I_{mode}"]), float(row[f"sigma2_{mode}"])) == (rep.flux, rep.noise)
+        assert row["method"] == "PeriodicNumeric" and row["error"] == ""
+
+
+def distribution_cumulants(path):
+    """Total, mean, variance and third central moment of a one-mode table."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    n = np.array([int(row["n_1"]) for row in rows])
+    p = np.array([float(row["probability"]) for row in rows])
+    mean = float(n @ p)
+    return float(p.sum()), mean, float((n - mean) ** 2 @ p), float((n - mean) ** 3 @ p)
+
+
+def test_poisson_law_distribution(runner, tmp_path):
+    # a coherent state of 900 photons against a Gaussian of equal mean and
+    # variance: the same first two moments after the dynamics, and the
+    # Poisson skewness of 900 photons^3 on top
+    tables = []
+    for name, law in (("poisson", "law: poisson\n  alphas: [30.0]\n"),
+                      ("gaussian", "law: gaussian\n  nbar: [900.0]\n  sigma2: [900.0]\n")):
+        doc = DIST_DOC.replace("law: gaussian\n  nbar: [1000.0]\n  sigma2: [100.0]\n", law)
+        assert doc != DIST_DOC
+        cfg = write(tmp_path, f"{name}.yaml", doc)
+        out = str(tmp_path / f"{name}.csv")
+        result = runner.invoke(main, ["distribution", "--config", cfg, "--out", out])
+        assert result.exit_code == 0, result.output
+        tables.append(distribution_cumulants(out))
+    (total, mean, variance, third), (_, g_mean, g_variance, g_third) = tables
+    assert total == pytest.approx(1.0, abs=1e-12)
+    assert mean == pytest.approx(g_mean, rel=1e-8)
+    assert variance == pytest.approx(g_variance, rel=1e-6)
+    assert third - g_third == pytest.approx(900.0, rel=0.01)
+
+
+def test_conserve_writes_its_csv(runner, tmp_path):
+    cfg = write(tmp_path, "c.yaml", CUMULANTS_DOC)
+    path = tmp_path / "ledger.csv"
+    result = runner.invoke(main, ["conserve", "--config", cfg, "--out", str(path)])
+    assert result.exit_code == 0, result.output
+    with open(path, newline="") as fh:
+        [row] = list(csv.DictReader(fh))
+    assert row["status"] == "PASS"
+    assert float(row["I_drive"]) == pytest.approx(-float(row["I_bath"]), rel=1e-8)
+    assert float(row["sigma2_drive"]) == pytest.approx(float(row["sigma2_bath"]), rel=1e-6)
+    assert float(row["flux_residual"]) == float(row["I_drive"]) + float(row["I_bath"])
+
+
+def test_fig4_point_whose_model_cannot_be_built_gets_an_error_row(runner, tmp_path):
+    doc = LAMBDA_MODEL + "sweep:\n  variable: gamma\n  start: -0.1\n  stop: 0.2\n  points: 2\n"
+    cfg = write(tmp_path, "s.yaml", doc)
+    result = runner.invoke(main, ["fig4", "--config", cfg, "--out", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    with open(tmp_path / "fig4.csv", newline="") as fh:
+        bad, good = list(csv.DictReader(fh))
+    assert bad["error"] == "ValueError: gamma and omega_s must be nonnegative"
+    assert bad["I_2_numeric"] == bad["flagged_numeric"] == "nan"
+    assert good["error"] == "" and math.isfinite(float(good["I_2_numeric"]))
+
+
+def test_one_sweep_scan_writes_to_the_csv_path_given(runner, tmp_path):
+    cfg = write(tmp_path, "s.yaml", SCAN_DOC)
+    path = tmp_path / "x.csv"
+    result = runner.invoke(main, ["scan", "--config", cfg, "--out", str(path)])
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["x.csv"]
+    assert len(path.read_text().splitlines()) == 1 + 5 * 2

@@ -371,6 +371,11 @@ INVALID = [
      ["sweep.repeat_values: given without a repeat_param"]),
     ("sweep-variable-of-failed-lambda", LAMBDA + "  gamma: -1\nsweep:\n  variable: omega_delta\n",
      ["model: gamma and omega_s must be nonnegative"]),
+    # an unknown kind has its kind refused and no kind's sweep variable
+    ("sweep-variable-of-unknown-kind", "model:\n  kind: rabi\nsweep:\n  variable: omega_delta\n",
+     ["model.kind: expected 'jc' or 'lambda', got 'rabi'"]),
+    ("sweep-variable-of-unhashable-kind", "model:\n  kind: [1]\nsweep:\n  variable: omega_delta\n",
+     ["model.kind: expected 'jc' or 'lambda', got [1]"]),
     ("repeat-param-unknown", JC + SWEEP + "  repeat_param: r\n  repeat_values: [1]\n",
      ["sweep.repeat_param: unknown parameter 'r'"]),
     ("repeat-values-string", JC + SWEEP + "  repeat_param: phi2\n  repeat_values: [0.0, a]\n",

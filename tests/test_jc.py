@@ -113,6 +113,10 @@ class TestFluxOracles:
         assert i1 + i2 == pytest.approx(i_drive, abs=1e-12)
         assert i_drive == pytest.approx(-i_bath, abs=1e-12)
 
+    def test_unknown_field_is_refused(self):
+        with pytest.raises(ValueError, match="'bogus'"):
+            jc_exact_cumulants(JcParams(), "bogus")
+
 
 class TestNoise:
     def test_weak_gamma_law(self):
