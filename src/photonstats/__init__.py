@@ -5,81 +5,65 @@ are computed from counting-field-dressed Lindblad generators, with
 interchangeable back ends (spectral finite differences, characteristic
 polynomials, closed-form oracles, perturbation theory, and periodic
 numerics for driven systems).
+
+The exports below are resolved on first use (PEP 562), so importing the
+package, or one of its modules, loads only the modules that it needs.
 """
 
-from .charpoly import CharPolyCoeffs, DegenerateRootError, char_poly, truncated_root
-from .config import Scenario, ScenarioError, Task, load_scenario, parse_scenario
-from .counting import (
-    ConservationReport,
-    CountingFields,
-    CumulantReport,
-    Method,
-    conservation_check,
-    cumulants,
-    dynamical_mgf,
-)
-from .distributions import (
-    GaussianLaw,
-    PhotonDistribution,
-    PoissonLaw,
-    WindowOverflowError,
-    closed_mgf,
-    reconstruct,
-    reconstruct_from_mgf,
-)
-from .models import (
-    JaynesCummingsModel,
-    JcParams,
-    LambdaModel,
-    LambdaParams,
-    LambdaPeriodicModel,
-)
-from .perturbation import (
-    NearDegeneracyError,
-    PerturbationSplit,
-    SubspacePartition,
-    adiabatic_eliminate,
-    nhpt_eigenvalue,
-)
-from .superop import SpectralDecomposition, propagate, spectral_decompose
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CharPolyCoeffs",
-    "ConservationReport",
-    "CountingFields",
-    "CumulantReport",
-    "DegenerateRootError",
-    "GaussianLaw",
-    "JaynesCummingsModel",
-    "JcParams",
-    "LambdaModel",
-    "LambdaParams",
-    "LambdaPeriodicModel",
-    "Method",
-    "NearDegeneracyError",
-    "PerturbationSplit",
-    "PhotonDistribution",
-    "PoissonLaw",
-    "Scenario",
-    "ScenarioError",
-    "SpectralDecomposition",
-    "SubspacePartition",
-    "Task",
-    "WindowOverflowError",
-    "adiabatic_eliminate",
-    "char_poly",
-    "closed_mgf",
-    "conservation_check",
-    "cumulants",
-    "dynamical_mgf",
-    "load_scenario",
-    "nhpt_eigenvalue",
-    "parse_scenario",
-    "propagate",
-    "reconstruct",
-    "reconstruct_from_mgf",
-    "spectral_decompose",
-    "truncated_root",
-]
+# exported name -> the module that defines it
+_EXPORTS = {
+    "CharPolyCoeffs": "charpoly",
+    "DegenerateRootError": "charpoly",
+    "char_poly": "charpoly",
+    "truncated_root": "charpoly",
+    "Scenario": "config",
+    "ScenarioError": "config",
+    "Task": "config",
+    "WindowOverflowError": "config",
+    "load_scenario": "config",
+    "parse_scenario": "config",
+    "ConservationReport": "counting",
+    "CountingFields": "counting",
+    "CumulantReport": "counting",
+    "Method": "counting",
+    "conservation_check": "counting",
+    "cumulants": "counting",
+    "dynamical_mgf": "counting",
+    "GaussianLaw": "distributions",
+    "PhotonDistribution": "distributions",
+    "PoissonLaw": "distributions",
+    "closed_mgf": "distributions",
+    "reconstruct": "distributions",
+    "reconstruct_from_mgf": "distributions",
+    "JaynesCummingsModel": "models",
+    "JcParams": "models",
+    "LambdaModel": "models",
+    "LambdaParams": "models",
+    "LambdaPeriodicModel": "models",
+    "NearDegeneracyError": "perturbation",
+    "PerturbationSplit": "perturbation",
+    "SubspacePartition": "perturbation",
+    "adiabatic_eliminate": "perturbation",
+    "nhpt_eigenvalue": "perturbation",
+    "SpectralDecomposition": "superop",
+    "propagate": "superop",
+    "spectral_decompose": "superop",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

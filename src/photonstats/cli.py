@@ -20,9 +20,11 @@ import click
 from .config import (
     Scenario,
     ScenarioError,
+    WindowOverflowError,
     apply_sweep_value,
     load_scenario,
     parse_scenario,
+    route_violations,
 )
 from .counting import (
     STENCIL_FLAG_RTOL,
@@ -30,14 +32,6 @@ from .counting import (
     conservation_check,
     cumulants,
     cumulants_many,
-)
-from .distributions import (
-    GaussianLaw,
-    PoissonLaw,
-    WindowOverflowError,
-    closed_mgf,
-    reconstruct,
-    reconstruct_from_mgf,
 )
 from .models.jc import JaynesCummingsModel, jc_closed_statistics
 from .models.lambda_system import LambdaModel, LambdaPeriodicModel
@@ -319,6 +313,8 @@ def _table(dist) -> tuple[list[str], list[list]]:
 @_command("distribution")
 def _distribution(scenario: Scenario, out) -> int:
     """Photon-number distribution of the resolved drive modes."""
+    from .distributions import GaussianLaw, PoissonLaw, reconstruct
+
     model = build_model(scenario)
     spec = scenario.distribution
     if spec.law == "poisson":
@@ -344,6 +340,8 @@ def _distribution(scenario: Scenario, out) -> int:
 @_command("closed", kind="jc")
 def _closed(scenario: Scenario, out) -> int:
     """Closed-system (lossless) photon statistics from quasienergy branches."""
+    from .distributions import closed_mgf, reconstruct_from_mgf
+
     p = scenario.model_params
     spec = scenario.closed
     mean, variance = jc_closed_statistics(p, spec.weights, spec.mode, spec.time)
@@ -380,6 +378,9 @@ def _closed(scenario: Scenario, out) -> int:
 @_command("conserve")
 def _conserve(scenario: Scenario, out) -> int:
     """Drive-vs-bath photon-ledger consistency check."""
+    refused = route_violations(scenario.model_kind, scenario.method, ("drive", "bath"))
+    if refused:
+        raise ScenarioError([f"{v}; conserve counts 'drive' and 'bath'" for v in refused])
     model = build_model(scenario)
     rep = conservation_check(model, method=scenario.method, h=scenario.numerics.h)
     status = "PASS" if rep.passed else "FAIL"
@@ -405,6 +406,8 @@ def _conserve(scenario: Scenario, out) -> int:
 @_command("fig3", "fig3.yaml", kind="jc")
 def _fig3(scenario: Scenario, out) -> int:
     """Photon-number distributions of the probe mode and the joint pair."""
+    from .distributions import GaussianLaw, reconstruct
+
     spec = scenario.distribution
     n = scenario.numerics.n_fft
     mapper = partial(_map_points, threads=scenario.numerics.threads)

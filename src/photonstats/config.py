@@ -16,7 +16,6 @@ from functools import partial
 import yaml
 
 from .counting import DEFAULT_METHOD, STEP_METHODS, Method, no_step_message
-from .distributions import MIN_N
 from .models.jc import JcParams
 from .models.lambda_system import LambdaParams
 from .superop import MIN_STEPS
@@ -29,6 +28,8 @@ __all__ = [
     "ClosedSpec",
     "Scenario",
     "ScenarioError",
+    "WindowOverflowError",
+    "route_violations",
     "parse_scenario",
     "load_scenario",
 ]
@@ -50,6 +51,25 @@ class ScenarioError(ValueError):
         super().__init__(
             "invalid scenario:\n" + "\n".join(f"  - {v}" for v in self.violations)
         )
+
+
+class WindowOverflowError(ValueError):
+    """Estimated support does not fit in the FFT window.
+
+    ``photonstats.distributions`` raises it; it lives here, beside
+    ``ScenarioError``, so that the CLI maps both to exit 2 without importing
+    the distributions in commands that build none.
+    """
+
+    def __init__(self, needed: int, n: int):
+        self.suggested_n = 1 << max(needed - 1, 1).bit_length()
+        super().__init__(
+            f"estimated support of {needed} integers exceeds the N={n} window; "
+            f"suggested N = {self.suggested_n}"
+        )
+
+
+MIN_N = 128  # smallest FFT window (numerics.n_fft); every window is a power of two
 
 
 @dataclass(frozen=True)
@@ -313,6 +333,32 @@ def _distribution(out: list, path: str, doc) -> DistributionSpec:
     return spec
 
 
+_SELECTORS = (1, 2, "drive", "bath")
+# the counting selectors that each method serves, per model kind; a method
+# missing from a kind's table does not apply to that kind
+_SERVED = {
+    "jc": {method: _SELECTORS for method in Method
+           if method not in (Method.PERTURBATION, Method.PERIODIC_NUMERIC)},
+    "lambda": {method: _SELECTORS for method in Method}
+    # the closed-form slow eigenvalue counts drive photons only
+    | {Method.ANALYTIC_ORACLE: (1, 2, "drive")},
+}
+
+
+def route_violations(kind: str, method: Method, selectors) -> list[str]:
+    """Why ``method`` cannot count ``selectors`` on the ``kind`` model (empty
+    when it can), from the table ``_SERVED``."""
+    served = _SERVED[kind].get(method)
+    if served is None:
+        kinds = " and ".join(k for k, table in _SERVED.items() if method in table)
+        return [f"method: {method.value} applies to the {kinds} model only"]
+    refused = [s for s in selectors if s not in served]
+    if not refused:
+        return []
+    return [f"mode: {method.value} counts {', '.join(map(repr, served))} on the "
+            f"{kind} model, not {', '.join(map(repr, refused))}"]
+
+
 _TOP = {
     kind: {
         "model": _model,
@@ -363,8 +409,8 @@ def parse_scenario(text: str, method: str | None = None,
         out.append("sweep: a Scan task requires a sweep specification")
     if scenario.task is Task.CLOSED and model and model[0] != "jc":
         out.append("task: ClosedSystem statistics are defined for the jc model")
-    if scenario.method is Method.PERIODIC_NUMERIC and model and model[0] == "jc":
-        out.append("method: PeriodicNumeric applies to the lambda model only")
+    if model:
+        out += route_violations(model[0], scenario.method, (scenario.mode,))
     if scenario.numerics.h is not None and scenario.method not in STEP_METHODS:
         out.append(f"numerics.h: {no_step_message(scenario.method)}; leave h null")
     if out:

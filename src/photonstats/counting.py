@@ -10,7 +10,9 @@ hooks serve the other routes: ``tagged_terms(chi, xi)`` PerturbationTheory,
 the slow Floquet multiplier exactly) and ``oracle_cumulants(selector)``
 AnalyticOracle; ``pseudo_inverse_rates(selector)`` lets a structured
 model serve PseudoInverse.  :func:`cumulants_many` serves a sweep, stacking
-the PseudoInverse solves of many dense models.  The engine imports no model.
+the PseudoInverse solves of many dense models; a model class's
+``stacked_liouvillian(models)`` builds their generators a stack at a time.
+The engine imports no model.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .charpoly import (
     fourier_derivatives,
     truncated_root,
 )
-from .numdiff import central_derivative
 from .superop import (
     StepConvergenceError,
     propagate,
@@ -303,9 +304,10 @@ def _fields_for(model, selector: Selector, x: float) -> CountingFields:
 def _check_order(order: int) -> None:
     if order not in (1, 2):
         raise ValueError(
-            "only the first and second cumulants are linear in time in the "
-            "long-time limit; higher orders are refused rather than reported "
-            "as misleading rates"
+            f"cumulant order {order} is not served: every cumulant grows "
+            "linearly in time in the long-time limit, but the routes take only "
+            "the first two field derivatives of the slow eigenvalue, so they "
+            "report the flux (order 1) and the noise (order 2)"
         )
 
 
@@ -330,6 +332,8 @@ def _report_from_lambda0(
     method: Method,
     h: float,
 ) -> CumulantReport:
+    from .numdiff import central_derivative  # only the stencil routes load it
+
     cache: dict[float, complex] = {}
 
     def fc(x: float) -> complex:
@@ -601,10 +605,18 @@ def cumulants_pseudo_inverse(
 
 def _dense_pseudo_inverse(models, selectors) -> list[list[CumulantReport]]:
     """PseudoInverse reports of every selector for each dense model, from
-    1 + 3K generator samples per model and one stacked bordered inverse."""
-    samples = field_samples(
-        models[0], selectors, lambda chi, xi: [m.dressed_liouvillian(chi, xi) for m in models]
-    ).swapaxes(1, 2)  # (4, n, K, d, d)
+    1 + 3K generator samples per model and one stacked bordered inverse.
+
+    Models of one class that defines a ``stacked_liouvillian(models)`` hook
+    are sampled through it, one (n, d, d) stack per field sample; others
+    (a subclass may redefine its generator) model by model."""
+    cls = type(models[0])
+    if "stacked_liouvillian" in vars(cls) and all(type(m) is cls for m in models):
+        generators = cls.stacked_liouvillian(models)
+    else:
+        def generators(chi, xi):
+            return [m.dressed_liouvillian(chi, xi) for m in models]
+    samples = field_samples(models[0], selectors, generators).swapaxes(1, 2)  # (4, n, K, d, d)
     d1, d2, share = _degree_one_derivatives(samples, (0, -2, -1))
     traces = np.array([m.trace_vector() for m in models])
     flux, noise, cond_error = _pseudo_inverse_rates(samples[0, :, 0], traces, d1, d2)

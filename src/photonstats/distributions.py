@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import MIN_N, WindowOverflowError
 from .counting import (
     CountingFields,
     dynamical_mgf,
@@ -37,19 +38,7 @@ __all__ = [
 ]
 
 EPS_FFT = 1e-9
-MIN_N = 128  # smallest FFT window; every window is a power of two
 _SIGMA_COVERAGE = 6.0
-
-
-class WindowOverflowError(ValueError):
-    """Estimated support does not fit in the FFT window."""
-
-    def __init__(self, needed: int, n: int):
-        self.suggested_n = 1 << max(needed - 1, 1).bit_length()
-        super().__init__(
-            f"estimated support of {needed} integers exceeds the N={n} window; "
-            f"suggested N = {self.suggested_n}"
-        )
 
 
 @dataclass(frozen=True)

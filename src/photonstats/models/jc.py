@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "JcParams",
     "JaynesCummingsModel",
     "jc_liouvillian",
+    "jc_liouvillian_stack",
     "jc_charpoly_analytic",
     "jc_flux_oracle",
     "jc_exact_cumulants",
@@ -105,6 +107,48 @@ def jc_liouvillian(
         ],
         dtype=complex,
     )
+
+
+def jc_liouvillian_stack(params: Sequence[JcParams]):
+    """The dressed generators of n emitters, as a factory
+    fn(chi, xi) -> (n, 4, 4) that equals :func:`jc_liouvillian` row by row,
+    bit for bit.
+
+    It serves a sweep chunk, whose generators it builds in one array
+    expression per field sample.  The one-sample formula stays scalar on
+    purpose: ``dynamical_mgf`` calls it twice per MGF sample (65,536 samples
+    for a 256 x 256 distribution), and at n = 1 a call of this factory's
+    function takes about five times as long as the scalar formula.
+    """
+    def column(name: str) -> np.ndarray:
+        return np.array([getattr(p, name) for p in params])
+
+    o1, o2, phi1, phi2 = (column(name) for name in ("omega1", "omega2", "phi1", "phi2"))
+    two_g, eps = 2.0 * column("gamma"), column("eps_delta")
+
+    def omega_xy(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+        return (o1 * np.cos(phi1 + a) + o2 * np.cos(phi2 + b),
+                o1 * np.sin(phi1 + a) + o2 * np.sin(phi2 + b))
+
+    ox0, oy0 = omega_xy(0.0, 0.0)
+
+    def generators(chi, xi) -> np.ndarray:
+        ox, oy = omega_xy(-chi[0], -chi[1])
+        cxm, cxp, sxm, sxp = ox0 - ox, ox0 + ox, oy0 - oy, oy0 + oy
+        jump = np.exp(1j * -xi[0])
+        gm = two_g * (jump - 1.0)
+        gp = two_g * (jump + 1.0)
+        return np.array(
+            [
+                [gm, 1j * cxm, 1j * sxm, gm],
+                [1j * cxm, -two_g, -eps, sxp],
+                [1j * sxm, eps, -two_g, -cxp],
+                [-gp, -sxp, cxp, -gp],
+            ],
+            dtype=complex,
+        ).transpose(2, 0, 1)
+
+    return generators
 
 
 def jc_charpoly_analytic(p: JcParams, chi: float, xi: float) -> CharPolyCoeffs:
@@ -272,6 +316,11 @@ class JaynesCummingsModel:
 
     def __init__(self, params: JcParams):
         self.params = params
+
+    @staticmethod
+    def stacked_liouvillian(models: Sequence["JaynesCummingsModel"]):
+        """fn(chi, xi) -> (n, 4, 4): the dressed generators of ``models``."""
+        return jc_liouvillian_stack([m.params for m in models])
 
     def dressed_liouvillian(self, chi, xi) -> np.ndarray:
         chi = tuple(float(c) for c in chi)

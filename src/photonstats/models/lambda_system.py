@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -128,19 +129,18 @@ def _bessel_factors(p: LambdaParams) -> tuple[float, float, float]:
     return bessel_j(0, p.omega_p1 / p.omega_d), bessel_j(0, arg), bessel_j(p.r, arg)
 
 
-def _signal_amplitudes(p: LambdaParams, chi: tuple[float, float]) -> tuple[complex, complex]:
-    """Bare signal couplings (v_b, v_c) onto |b><a| and |c><a|.
+def _signal_amplitudes(s1, s2, phase1, phase2, even):
+    """Bare signal couplings (v_b, v_c) onto |b><a| and |c><a|, elementwise.
 
-    The pump sidebands renormalize the signal by J_0 and J_r of
-    Omega_p1 / (2 omega_d); for even r both signal modes address |c>, for
-    odd r the second mode addresses |b> instead.
+    The pump sidebands renormalize the signal amplitude Omega_s by J_0 and
+    J_r of Omega_p1 / (2 omega_d): s1 = Omega_s J_0 and s2 = Omega_s J_r,
+    with the dressed phases phase_k = phi_k + chi_k.  For even r both
+    signal modes address |c>, for odd r the second mode addresses |b>
+    instead.
     """
-    _, j0, jr = _bessel_factors(p)
-    e1 = p.omega_s * j0 * np.exp(1j * (p.phi1 + chi[0]))
-    e2 = p.omega_s * jr * np.exp(1j * (p.phi2 + chi[1]))
-    if p.r % 2 == 0:
-        return (0.0 + 0.0j, e1 + e2)
-    return (e2, e1)
+    e1 = s1 * np.exp(1j * phase1)
+    e2 = s2 * np.exp(1j * phase2)
+    return np.where(even, 0.0, e2), np.where(even, e1 + e2, e1)
 
 
 def effective_couplings(
@@ -155,10 +155,13 @@ def effective_couplings(
     eps_tilde = ave -/+ sqrt(delta^2 + Omega_p0^2).
     """
     ave = 0.5 * (p.eps_b_delta + p.eps_c_delta)
-    delta = 0.5 * _bessel_factors(p)[0] * (p.eps_b_delta - p.eps_c_delta)
+    j_split, j0, jr = _bessel_factors(p)
+    delta = 0.5 * j_split * (p.eps_b_delta - p.eps_c_delta)
     split = math.hypot(delta, p.omega_p0)
     theta = math.atan2(p.omega_p0, delta)
-    vb, vc = _signal_amplitudes(p, chi)
+    vb, vc = _signal_amplitudes(
+        p.omega_s * j0, p.omega_s * jr, p.phi1 + chi[0], p.phi2 + chi[1], p.r % 2 == 0
+    )
     half = 0.5 * theta
     omega_b = -math.sin(half) * vb + math.cos(half) * vc
     omega_c = math.cos(half) * vb + math.sin(half) * vc
@@ -171,44 +174,85 @@ def effective_couplings(
     )
 
 
-def _h_static(p: LambdaParams) -> np.ndarray:
-    """Signal-free part of the RWA Hamiltonian in the (a, b, c) basis."""
-    ave = 0.5 * (p.eps_b_delta + p.eps_c_delta)
-    delta = 0.5 * _bessel_factors(p)[0] * (p.eps_b_delta - p.eps_c_delta)
-    h = np.zeros((3, 3), dtype=complex)
-    h[_A, _A] = p.eps_a
-    h[_B, _B] = ave + delta
-    h[_C, _C] = ave - delta
-    h[_B, _C] = h[_C, _B] = p.omega_p0
-    return h
+@functools.lru_cache(maxsize=16)
+def _decay(xi: float) -> np.ndarray:
+    """Decay of |b> and |c> into |a> at unit rate under the bath field xi,
+    read-only.
 
-
-def _h_signal(p: LambdaParams, chi: tuple[float, float]) -> np.ndarray:
-    """Signal part of the RWA Hamiltonian with dressed phases phi_k + chi_k."""
-    vb, vc = _signal_amplitudes(p, chi)
-    h = np.zeros((3, 3), dtype=complex)
-    h[_B, _A] = vb
-    h[_C, _A] = vc
-    h[_A, _B] = np.conj(vb)
-    h[_A, _C] = np.conj(vc)
-    return h
-
-
-def _dissipators(p: LambdaParams, xi: float) -> np.ndarray:
+    Times the rate 2 gamma it equals the two channels' dissipators at that
+    rate bit for bit: an entry comes from one channel, or is 0.5 or 1 times
+    the rate.
+    """
     out = np.zeros((9, 9), dtype=complex)
     for upper in (_B, _C):
         c = np.zeros((3, 3), dtype=complex)
         c[_A, upper] = 1.0
-        out += dissipator_superop(c, rate=2.0 * p.gamma, xi=xi)
+        out += dissipator_superop(c, xi=xi)
+    out.setflags(write=False)
     return out
+
+
+def _rwa_terms(params: Sequence[LambdaParams]):
+    """The RWA generators of n parameter sets, as a factory
+    fn(chi, xi) -> (L0, L1) of two stacks (n, 9, 9).
+
+    L0 is the signal-free generator: the static Hamiltonian (its b/c
+    splitting renormalized by J_0(Omega_p1 / omega_d)) and the decay under
+    the bath field xi.  L1 collects everything linear in Omega_s: the signal
+    Hamiltonian with dressed phases phi_k + chi_k on the left and the
+    zero-field one on the right.  The field-free parts are built once per
+    factory.
+    """
+    n = len(params)
+
+    def column(values) -> np.ndarray:
+        return np.array(list(values))
+
+    bessel = column(_bessel_factors(p) for p in params)
+    omega_s = column(p.omega_s for p in params)
+    s1, s2 = omega_s * bessel[:, 1], omega_s * bessel[:, 2]
+    phi1, phi2 = column(p.phi1 for p in params), column(p.phi2 for p in params)
+    even = column(p.r % 2 == 0 for p in params)
+    eps_b, eps_c = column(p.eps_b_delta for p in params), column(p.eps_c_delta for p in params)
+    ave = 0.5 * (eps_b + eps_c)
+    delta = 0.5 * bessel[:, 0] * (eps_b - eps_c)
+    h0 = np.zeros((n, 3, 3), dtype=complex)
+    h0[:, _A, _A] = column(p.eps_a for p in params)
+    h0[:, _B, _B] = ave + delta
+    h0[:, _C, _C] = ave - delta
+    h0[:, _B, _C] = h0[:, _C, _B] = column(p.omega_p0 for p in params)
+    h_static = hamiltonian_superop(h0, h0)
+    rate = column(2.0 * p.gamma for p in params)[:, None, None]
+
+    def h_signal(chi) -> np.ndarray:
+        vb, vc = _signal_amplitudes(s1, s2, phi1 + chi[0], phi2 + chi[1], even)
+        h = np.zeros((n, 3, 3), dtype=complex)
+        h[:, _B, _A] = vb
+        h[:, _C, _A] = vc
+        h[:, _A, _B] = np.conj(vb)
+        h[:, _A, _C] = np.conj(vc)
+        return h
+
+    h_signal_0 = h_signal((0.0, 0.0))
+    return lambda chi, xi: (
+        h_static + rate * _decay(xi), hamiltonian_superop(h_signal(chi), h_signal_0)
+    )
+
+
+def _fields(chi, xi) -> tuple[tuple[float, float], tuple[float]]:
+    chi = tuple(float(c) for c in chi)
+    xi = tuple(float(x) for x in xi)
+    if len(chi) != 2 or len(xi) != 1:
+        raise ValueError("model counts two drive modes and one bath")
+    return chi, xi
 
 
 class LambdaModel:
     """Counting-engine adapter for the RWA effective generator (9x9).
 
-    The field-free parts (the static Hamiltonian superoperator, the
-    signal-free generator at xi = 0 and the zero-field right signal
-    Hamiltonian) are built once per instance and are read-only.
+    Every generator comes from one stacked formula (``_rwa_terms``); a
+    single model is its one-row case, and ``stacked_liouvillian`` builds a
+    whole sweep chunk's generators at once.
     """
 
     n_modes = 2
@@ -216,12 +260,17 @@ class LambdaModel:
 
     def __init__(self, params: LambdaParams):
         self.params = params
-        h0 = _h_static(params)
-        self._h_static_superop = hamiltonian_superop(h0, h0)
-        self._l0 = self._h_static_superop + _dissipators(params, 0.0)
-        self._h_signal_0 = _h_signal(params, (0.0, 0.0))
-        for part in (self._h_static_superop, self._l0, self._h_signal_0):
-            part.setflags(write=False)
+
+    @staticmethod
+    def stacked_liouvillian(models: Sequence["LambdaModel"]):
+        """fn(chi, xi) -> (n, 9, 9): the dressed generators of ``models``."""
+        terms = _rwa_terms([m.params for m in models])
+
+        def generators(chi, xi) -> np.ndarray:
+            l0, l1 = terms(chi, xi[0])
+            return l0 + l1
+
+        return generators
 
     def tagged_terms(
         self, chi: tuple[float, float], xi: float
@@ -231,18 +280,11 @@ class LambdaModel:
         Order 0 is the signal-free generator; order 1 collects everything
         linear in the signal amplitude Omega_s.
         """
-        p = self.params
-        l0 = self._l0 if xi == 0.0 else self._h_static_superop + _dissipators(p, xi)
-        l1 = hamiltonian_superop(_h_signal(p, chi), self._h_signal_0)
-        return [(0, l0), (1, l1)]
+        l0, l1 = _rwa_terms([self.params])(chi, xi)
+        return [(0, l0[0]), (1, l1[0])]
 
     def dressed_liouvillian(self, chi, xi) -> np.ndarray:
-        chi = tuple(float(c) for c in chi)
-        xi = tuple(float(x) for x in xi)
-        if len(chi) != 2 or len(xi) != 1:
-            raise ValueError("model counts two drive modes and one bath")
-        terms = self.tagged_terms((chi[0], chi[1]), xi[0])
-        return sum(m for _, m in terms)
+        return self.stacked_liouvillian([self])(*_fields(chi, xi))[0]
 
     def trace_vector(self) -> np.ndarray:
         t = np.zeros(9, dtype=complex)
@@ -462,10 +504,7 @@ class LambdaPeriodicModel:
         harmonics are the static part, the pump modulation at +-omega_d and
         the co-/counter-rotating halves of mode 2 at -/+ r omega_d.
         """
-        chi = tuple(float(c) for c in chi)
-        xi = tuple(float(x) for x in xi)
-        if len(chi) != 2 or len(xi) != 1:
-            raise ValueError("model counts two drive modes and one bath")
+        chi, xi = _fields(chi, xi)
         p = self.params
         h_levels = np.diag(
             np.array([p.eps_a, p.eps_b_delta, p.eps_c_delta], dtype=complex)
@@ -483,7 +522,7 @@ class LambdaPeriodicModel:
         h_static = h_levels + p.omega_p0 * pump
         l_const = hamiltonian_superop(
             h_static + mode1(p.phi1 + chi[0]), h_static + mode1(p.phi1)
-        ) + _dissipators(p, xi[0])
+        ) + 2.0 * p.gamma * _decay(xi[0])
         half_cos = hamiltonian_superop(
             0.25 * p.omega_p1 * pump, 0.25 * p.omega_p1 * pump
         )

@@ -67,13 +67,15 @@ class StepConvergenceError(RuntimeError):
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of square matrices by one broadcast multiply.
+    """Kronecker product of square matrices, or of stacks of them (leading
+    axes broadcast), by one broadcast multiply.
 
     It forms the same products as numpy's ``kron``, so the result is
     bit-identical, without that function's per-call overhead.
     """
-    d = a.shape[0] * b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d, d)
+    d = a.shape[-1] * b.shape[-1]
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (d, d))
 
 
 def hamiltonian_superop(h_left: np.ndarray, h_right: np.ndarray | None = None) -> np.ndarray:
@@ -81,13 +83,14 @@ def hamiltonian_superop(h_left: np.ndarray, h_right: np.ndarray | None = None) -
 
     For physical evolution ``h_right`` defaults to ``h_left``; generalized
     (counting-field-dressed) evolution uses different left/right Hamiltonians.
+    Stacks of Hamiltonians (..., d, d) give stacks of superoperators.
     """
     h_left = np.asarray(h_left, dtype=complex)
     if h_right is None:
         h_right = h_left
     h_right = np.asarray(h_right, dtype=complex)
-    eye = np.eye(h_left.shape[0], dtype=complex)
-    return -1.0j * _kron(h_left, eye) + 1.0j * _kron(eye, h_right.T)
+    eye = np.eye(h_left.shape[-1], dtype=complex)
+    return -1.0j * _kron(h_left, eye) + 1.0j * _kron(eye, h_right.swapaxes(-1, -2))
 
 
 def dissipator_superop(c: np.ndarray, rate: float = 1.0, xi: float = 0.0) -> np.ndarray:

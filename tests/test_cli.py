@@ -136,6 +136,25 @@ class TestConfigErrors:
         result = runner.invoke(main, ["cumulants"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command, doc, method, message", [
+        ("cumulants", "model:\n  kind: jc\n", "PerturbationTheory",
+         "method: PerturbationTheory applies to the lambda model only"),
+        ("cumulants", "model:\n  kind: lambda\nmode: bath\n", "AnalyticOracle",
+         "mode: AnalyticOracle counts 1, 2, 'drive' on the lambda model, not 'bath'"),
+        ("conserve", "model:\n  kind: lambda\n", "AnalyticOracle",
+         "not 'bath'; conserve counts 'drive' and 'bath'"),
+        ("conserve", "model:\n  kind: jc\n", "PerturbationTheory",
+         "method: PerturbationTheory applies to the lambda model only"),
+    ])
+    def test_a_route_that_cannot_serve_the_count_exits_2(
+        self, runner, tmp_path, command, doc, method, message
+    ):
+        cfg = write(tmp_path, "s.yaml", doc)
+        result = runner.invoke(main, [command, "--config", cfg, "--method", method])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert message in result.output
+
 
 class TestScanCommand:
     def test_csv_schema_and_rows(self, runner, tmp_path):
@@ -305,7 +324,7 @@ def test_fig3_writes_the_metadata_of_every_distribution(runner, tmp_path, monkey
         probabilities = np.full((2,) * len(modes), 0.5 ** len(modes))
         return PhotonDistribution(offsets, probabilities, {"time": t, "modes": list(modes)})
 
-    monkeypatch.setattr("photonstats.cli.reconstruct", small_distribution)
+    monkeypatch.setattr("photonstats.distributions.reconstruct", small_distribution)
     result = runner.invoke(main, ["fig3", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     marginal = json.loads((tmp_path / "fig3_marginal.csv.json").read_text())

@@ -386,6 +386,10 @@ INVALID = [
      ["task: ClosedSystem statistics are defined for the jc model"]),
     ("periodic-numeric-jc", JC + "method: PeriodicNumeric\n",
      ["method: PeriodicNumeric applies to the lambda model only"]),
+    ("perturbation-theory-jc", JC + "method: PerturbationTheory\n",
+     ["method: PerturbationTheory applies to the lambda model only"]),
+    ("oracle-bath-lambda", LAMBDA + "method: AnalyticOracle\nmode: bath\n",
+     ["mode: AnalyticOracle counts 1, 2, 'drive' on the lambda model, not 'bath'"]),
     ("h-with-oracle", JC + "method: AnalyticOracle\nnumerics:\n  h: 0.01\n",
      ["numerics.h: AnalyticOracle takes no stencil step h; only SpectralFD and PerturbationTheory do; leave h null"]),
     ("many-sections", JC + "  gamma: -1\n  bogus_param: 3\ntask: Dance\nmethod: Magic\nbogus: 1\n", [

@@ -18,6 +18,7 @@ from photonstats.models.jc import (
     jc_exact_cumulants,
     jc_flux_oracle,
     jc_liouvillian,
+    jc_liouvillian_stack,
     jc_semiclassical_flux,
     jc_stationary_bloch,
     jc_weak_gamma_noise,
@@ -67,6 +68,21 @@ class TestLiouvillian:
         m = JaynesCummingsModel(p)
         l = jc_liouvillian(p)
         assert np.abs(l @ m.stationary_vector()).max() < 1e-12
+
+    def test_stacked_generators_equal_the_scalar_formula(self):
+        # the two jc generator formulas agree bit for bit, with and without
+        # a bath field
+        rng = np.random.default_rng(11)
+        params = [random_params(rng, gamma_range=(-4, 0)) for _ in range(8)]
+        params = [replace(p, omega1=float(rng.uniform(0, 3))) for p in params]
+        generators = jc_liouvillian_stack(params)
+        for a, b, x in rng.uniform(-2 * math.pi, 2 * math.pi, size=(30, 3)):
+            for xi in (0.0, float(x)):
+                chi = (float(a), float(b))
+                stack = generators(chi, (xi,))
+                assert stack.shape == (len(params), 4, 4)
+                for p, generator in zip(params, stack):
+                    assert np.array_equal(generator, jc_liouvillian(p, chi, xi))
 
     def test_charpoly_matches_analytic_quartic(self):
         for _ in range(5):

@@ -19,14 +19,11 @@ from photonstats.models.lambda_system import (
     LambdaParams,
     LambdaPeriodicModel,
     _bessel_factors,
-    _dissipators,
-    _h_signal,
-    _h_static,
     effective_couplings,
     lambda_lambda0_pt2,
 )
 from photonstats.perturbation import SubspacePartition, adiabatic_eliminate
-from photonstats.superop import hamiltonian_superop
+from photonstats.superop import dissipator_superop, hamiltonian_superop
 
 BASE = LambdaParams()  # resonant pump, r = 1
 
@@ -102,30 +99,76 @@ class TestGenerator:
             m.dressed_liouvillian((0.1,), (0.0,))
 
 
+def _reference_terms(p, chi, xi):
+    """(L0, L1) of one parameter set, assembled term by term in the order
+    of the package's arithmetic, so that the results agree bit for bit."""
+    j_split, j0, jr = _bessel_factors(p)
+    ave = 0.5 * (p.eps_b_delta + p.eps_c_delta)
+    delta = 0.5 * j_split * (p.eps_b_delta - p.eps_c_delta)
+    h0 = np.diag([p.eps_a, ave + delta, ave - delta]).astype(complex)
+    h0[1, 2] = h0[2, 1] = p.omega_p0
+
+    def h_signal(chi):
+        e1 = p.omega_s * j0 * np.exp(1j * (p.phi1 + chi[0]))
+        e2 = p.omega_s * jr * np.exp(1j * (p.phi2 + chi[1]))
+        vb, vc = (0.0, e1 + e2) if p.r % 2 == 0 else (e2, e1)
+        h = np.zeros((3, 3), dtype=complex)
+        h[1, 0], h[2, 0], h[0, 1], h[0, 2] = vb, vc, np.conj(vb), np.conj(vc)
+        return h
+
+    decay = np.zeros((9, 9), dtype=complex)
+    for upper in (1, 2):
+        c = np.zeros((3, 3), dtype=complex)
+        c[0, upper] = 1.0
+        decay += dissipator_superop(c, rate=2.0 * p.gamma, xi=xi)
+    l0 = hamiltonian_superop(h0, h0) + decay
+    return l0, hamiltonian_superop(h_signal(chi), h_signal((0.0, 0.0)))
+
+
+def _random_params(rng, r):
+    return LambdaParams(
+        r=r, eps_b=rng.uniform(-1, 1), omega_1=rng.uniform(20, 40),
+        omega_s=rng.uniform(0, 0.1), omega_p1=rng.uniform(0, 320),
+        gamma=rng.uniform(0, 1), phi1=rng.uniform(-3, 3), phi2=rng.uniform(-3, 3),
+    )
+
+
+def _random_fields(rng):
+    """(chi, xi) pairs: 20 with a bath field and 10 without."""
+    fields = [((float(a), float(b)), float(x))
+              for a, b, x in rng.uniform(-2 * math.pi, 2 * math.pi, size=(30, 3))]
+    return fields[:20] + [(chi, 0.0) for chi, _ in fields[20:]]
+
+
 class TestFieldFreeParts:
-    """The field-free parts that ``LambdaModel`` builds once per instance."""
+    """The one generator formula: the stacked one, of which a single model
+    is the one-row case."""
 
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_generator_matches_a_fresh_build(self, r):
-        p = LambdaParams(r=r)
-        model = LambdaModel(p)
         rng = np.random.default_rng(40 + r)
-        samples = [
-            ((float(a), float(b)), float(x))
-            for a, b, x in rng.uniform(-math.pi, math.pi, size=(50, 3))
-        ]
-        samples += [(chi, 0.0) for chi, _ in samples[:10]]
-        rng.shuffle(samples)
-        for chi, xi in samples:
-            cached = model.dressed_liouvillian(chi, (xi,))
-            _bessel_factors.cache_clear()
-            h0 = _h_static(p)
-            fresh = (
-                hamiltonian_superop(h0, h0)
-                + _dissipators(p, xi)
-                + hamiltonian_superop(_h_signal(p, chi), _h_signal(p, (0.0, 0.0)))
-            )
-            assert np.array_equal(cached, fresh)
+        for p in [LambdaParams(r=r)] + [_random_params(rng, r) for _ in range(3)]:
+            model = LambdaModel(p)
+            for chi, xi in _random_fields(rng):
+                l0, l1 = _reference_terms(p, chi, xi)
+                assert np.array_equal(model.dressed_liouvillian(chi, (xi,)), l0 + l1)
+                (o0, t0), (o1, t1) = model.tagged_terms(chi, xi)
+                assert (o0, o1) == (0, 1)
+                assert np.array_equal(t0, l0) and np.array_equal(t1, l1)
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_stacked_generators_equal_the_single_model_ones(self, r):
+        rng = np.random.default_rng(50 + r)
+        # a chunk at this r, with one point of each other r mixed in
+        params = [_random_params(rng, r) for _ in range(6)]
+        params += [_random_params(rng, other) for other in (0, 1, 2) if other != r]
+        models = [LambdaModel(p) for p in params]
+        generators = LambdaModel.stacked_liouvillian(models)
+        for chi, xi in _random_fields(rng):
+            stack = generators(chi, (xi,))
+            assert stack.shape == (len(models), 9, 9)
+            for model, generator in zip(models, stack):
+                assert np.array_equal(generator, model.dressed_liouvillian(chi, (xi,)))
 
     def test_writing_into_a_returned_term_leaves_the_generator_unchanged(self):
         model = LambdaModel(BASE)

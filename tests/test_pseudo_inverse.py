@@ -194,3 +194,37 @@ def test_many_loops_over_other_methods_and_structured_models():
     assert reports == [cumulants(periodic, mode) for mode in (1, 2)]
     [refused] = cumulants_many([jc], (1,), h=1e-3)
     assert isinstance(refused, ValueError) and "stencil step" in str(refused)
+
+
+class CountingJc(JaynesCummingsModel):
+    """The emitter, counting its calls to the one-sample generator."""
+
+    calls = 0
+
+    def dressed_liouvillian(self, chi, xi):
+        CountingJc.calls += 1
+        return super().dressed_liouvillian(chi, xi)
+
+
+@pytest.mark.parametrize("classes", [
+    (JaynesCummingsModel, CountingJc, JaynesCummingsModel),
+    (CountingJc, CountingJc, CountingJc),
+])
+def test_a_chunk_without_one_stacking_class_is_sampled_model_by_model(classes):
+    # mixed classes, or a subclass that does not define the stacking hook
+    models = [cls(p) for cls, p in zip(classes, JC_CHUNK)]
+    CountingJc.calls = 0
+    results = cumulants_many(models, (1, 2))
+    # 1 + 3 * 2 field samples per counting model
+    assert CountingJc.calls == 7 * classes.count(CountingJc)
+    for model, reports in zip(models, results):
+        assert reports == [cumulants(JaynesCummingsModel(model.params), mode) for mode in (1, 2)]
+
+
+def test_a_chunk_of_one_stacking_class_never_calls_the_one_sample_generator(monkeypatch):
+    calls = []
+    original = JaynesCummingsModel.dressed_liouvillian
+    monkeypatch.setattr(JaynesCummingsModel, "dressed_liouvillian",
+                        lambda self, chi, xi: calls.append(1) or original(self, chi, xi))
+    results = cumulants_many([JaynesCummingsModel(p) for p in JC_CHUNK], (1, 2))
+    assert calls == [] and all(isinstance(r, list) for r in results)

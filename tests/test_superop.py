@@ -57,6 +57,10 @@ class TestSuperops:
         eye = np.eye(d, dtype=complex)
         ham = -1.0j * np.kron(hl, eye) + 1.0j * np.kron(eye, hr.T)
         assert np.array_equal(hamiltonian_superop(hl, hr), ham)
+        # a stack of Hamiltonians gives the stack of superoperators
+        stack = hamiltonian_superop(np.stack([hl, hr]), np.stack([hr, hl]))
+        assert np.array_equal(stack[0], ham)
+        assert np.array_equal(stack[1], hamiltonian_superop(hr, hl))
         cdc = c.conj().T @ c
         for xi in (0.0, 0.37, -2.1):
             jump = np.exp(-1.0j * xi) * np.kron(c, c.conj())
