@@ -309,8 +309,9 @@ def _sweep(out: list, path: str, doc, kind: str) -> SweepSpec | None:
     values = _section(out, path, doc, _SWEEP[kind])
     if values is None:
         return None
-    if values.get("log") and values.get("start", 1.0) <= 0:
-        out.append(f"{path}.start: must be positive for a log sweep")
+    nonpositive = [end for end in ("start", "stop") if values.get(end, 1.0) <= 0]
+    if values.get("log") and nonpositive:
+        out.extend(f"{path}.{end}: must be positive for a log sweep" for end in nonpositive)
         return None
     if not {"variable", "start", "stop", "points"} <= values.keys():
         return None
@@ -322,6 +323,11 @@ def _sweeps(out: list, path: str, value, kind: str) -> list[SweepSpec] | None:
         out.append("sweeps: expected a nonempty list of sweep mappings")
         return None
     specs = [_sweep(out, f"sweeps[{i}]", entry, kind) for i, entry in enumerate(value)]
+    first: dict[str, int] = {}  # each sweep's name names its CSV
+    for i, spec in enumerate(specs):
+        if spec and first.setdefault(spec.name, i) != i:
+            used = first[spec.name]
+            out.append(f"sweeps[{i}].name: {spec.name!r} is already used by sweeps[{used}]")
     return [spec for spec in specs if spec]
 
 

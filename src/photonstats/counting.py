@@ -2,14 +2,17 @@
 
 A model exposes ``dressed_liouvillian(chi, xi)``; this module turns that into
 moment-generating functions, the slow eigenvalue lambda_0(xi, chi), and flux /
-noise reports by differentiation at zero counting fields.  The default
+noise reports by differentiation at zero counting fields.  Each route only
+computes rates; :func:`cumulants` is the one place that checks a request
+(order, step, the route's model hook) and builds a report.  The default
 route, PseudoInverse, differentiates lambda_0 exactly through the
 pseudo-inverse of the generator.  Optional model
 hooks serve the other routes: ``tagged_terms(chi, xi)`` PerturbationTheory,
 ``harmonic_derivatives(selector)`` PeriodicNumeric (which differentiates
-the slow Floquet multiplier exactly) and ``oracle_cumulants(selector)``
+the slow Floquet multiplier exactly) and ``oracle_rates(selector)``
 AnalyticOracle; ``pseudo_inverse_rates(selector)`` lets a structured
-model serve PseudoInverse.  :func:`cumulants_many` serves a sweep, stacking
+model serve PseudoInverse.  Both rate hooks return (flux, noise, error
+estimate).  :func:`cumulants_many` serves a sweep, stacking
 the PseudoInverse solves of many dense models; a model class's
 ``stacked_liouvillian(models)`` builds their generators a stack at a time.
 The engine imports no model.
@@ -18,6 +21,7 @@ The engine imports no model.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -59,11 +63,6 @@ __all__ = [
     "field_derivatives",
     "flux_and_noise",
     "cumulants",
-    "cumulants_spectral",
-    "cumulants_charpoly",
-    "cumulants_oracle",
-    "cumulants_periodic",
-    "cumulants_pseudo_inverse",
     "cumulants_many",
     "conservation_check",
 ]
@@ -311,11 +310,6 @@ def _check_order(order: int) -> None:
         )
 
 
-def _refuse_step(method: Method, h: float | None) -> None:
-    if h is not None:
-        raise ValueError(no_step_message(method))
-
-
 def flux_and_noise(d1, d2):
     """Flux Re(i lambda') and noise -Re(lambda'') from the first two field
     derivatives of a slow eigenvalue (or the mean and variance from those of
@@ -326,70 +320,44 @@ def flux_and_noise(d1, d2):
     return float(flux), float(noise)
 
 
-def _report_from_lambda0(
-    f: Callable[[float], complex],
-    selector: Selector,
-    method: Method,
-    h: float,
-) -> CumulantReport:
+Rates = tuple[float, float, float, float]  # flux, noise, h, stencil error
+
+
+def _report(selector: Selector, method: Method, flux, noise, h, err) -> CumulantReport:
+    return CumulantReport(selector, float(flux), float(noise), method, h, float(err))
+
+
+def _stencil_rates(f: Callable[[float], complex], h: float) -> Rates:
     from .numdiff import central_derivative  # only the stencil routes load it
 
-    cache: dict[float, complex] = {}
-
-    def fc(x: float) -> complex:
-        if x not in cache:
-            cache[x] = f(x)
-        return cache[x]
-
+    fc = functools.cache(f)  # the two stencils share their samples
     d1 = central_derivative(fc, 1, h)
     d2 = central_derivative(fc, 2, h)
-    flux, noise = flux_and_noise(d1.value, d2.value)
-    err = max(d1.rel_error, d2.rel_error)
-    return CumulantReport(
-        mode=selector,
-        flux=flux,
-        noise=noise,
-        method=method,
-        h=h,
-        stencil_error=err,
-    )
+    return (*flux_and_noise(d1.value, d2.value), h, max(d1.rel_error, d2.rel_error))
 
 
-def cumulants_spectral(
-    model, selector: Selector, order: int = 2, h: float | None = None
-) -> CumulantReport:
+def _spectral(model, selector: Selector, h: float | None) -> Rates:
     """Flux and noise from stencil derivatives of the tracked slow eigenvalue.
 
     When no step is given, the stencil is evaluated on a small ladder of
-    candidate steps and the report with the smallest Richardson disagreement
-    is returned.  The optimal step varies by orders of magnitude across
-    parameter space (the branch radius of lambda_0 shrinks with the spectral
-    gap while roundoff amplification grows as 1/h^2), and the Richardson
-    estimate tracks the true error well once the eigenvalues are
-    Newton-refined.
+    candidate steps and the rates with the smallest Richardson disagreement
+    are returned (the first such step).  The optimal step varies by orders
+    of magnitude across parameter space (the branch radius of lambda_0
+    shrinks with the spectral gap while roundoff amplification grows as
+    1/h^2), and the Richardson estimate tracks the true error well once the
+    eigenvalues are Newton-refined.
     """
-    _check_order(order)
-
     def f(x: float) -> complex:
         return lambda0_nearest(model, _fields_for(model, selector, x))
 
     if h is not None:
-        return _report_from_lambda0(f, selector, Method.SPECTRAL_FD, h)
-    ladder = [1e-3, 3e-4, 1e-4, 3e-5, 1e-5]
-    h0 = default_step(model)
-    if h0 not in ladder:
-        ladder.append(h0)
-    best: CumulantReport | None = None
-    for step in ladder:
-        report = _report_from_lambda0(f, selector, Method.SPECTRAL_FD, step)
-        if best is None or report.stencil_error < best.stencil_error:
-            best = report
-    return best
+        return _stencil_rates(f, h)
+    # the fixed steps, then the gap-bounded default unless it is one of them
+    ladder = dict.fromkeys([1e-3, 3e-4, 1e-4, 3e-5, 1e-5, default_step(model)])
+    return min((_stencil_rates(f, step) for step in ladder), key=lambda rates: rates[3])
 
 
-def cumulants_charpoly(
-    model, selector: Selector, order: int = 2, h: float | None = None
-) -> CumulantReport:
+def _charpoly(model, selector: Selector, h: None) -> Rates:
     """Flux and noise by implicit differentiation of the char-poly root.
 
     Differentiating sum_j a_j(chi) lambda^j = 0 at the stationary root
@@ -397,9 +365,6 @@ def cumulants_charpoly(
     obtained exactly (up to roundoff) by trigonometric interpolation over
     one field period; the reported ``h`` is the sample spacing.
     """
-    _check_order(order)
-    _refuse_step(Method.CHARPOLY, h)
-
     def matrix_fn(x: float):
         fields = _fields_for(model, selector, x)
         return model.dressed_liouvillian(fields.chi, fields.xi)
@@ -411,42 +376,22 @@ def cumulants_charpoly(
     a2 = derivs.at_zero.coefficients[2]
     dlam = -derivs.da0 / a1
     d2lam = -(derivs.d2a0 + 2.0 * derivs.da1 * dlam + 2.0 * a2 * dlam * dlam) / a1
-    flux, noise = flux_and_noise(dlam, d2lam)
-    return CumulantReport(
-        mode=selector,
-        flux=flux,
-        noise=noise,
-        method=Method.CHARPOLY,
-        h=2.0 * math.pi / derivs.n_samples,
-        stencil_error=derivs.rel_error,
-    )
+    return (*flux_and_noise(dlam, d2lam), 2.0 * math.pi / derivs.n_samples, derivs.rel_error)
 
 
-def cumulants_oracle(
-    model, selector: Selector, order: int = 2, h: float | None = None
-) -> CumulantReport:
+def _oracle(model, selector: Selector, h: None) -> Rates:
     """Closed-form (or closed-form-derived) cumulants where the model has them.
 
-    The model supplies them through ``oracle_cumulants(selector)``.
+    The model supplies them through ``oracle_rates(selector)``.
     """
-    _check_order(order)
-    _refuse_step(Method.ANALYTIC_ORACLE, h)
-    if not hasattr(model, "oracle_cumulants"):
-        raise NotImplementedError(f"no analytic oracle for {type(model).__name__}")
-    return model.oracle_cumulants(selector)
+    flux, noise, err = model.oracle_rates(selector)
+    return flux, noise, 0.0, err
 
 
-def cumulants_perturbation(
-    model, selector: Selector, order: int = 2, h: float | None = None
-) -> CumulantReport:
+def _perturbation(model, selector: Selector, h: float | None) -> Rates:
     """Flux and noise from the second-order eigenvalue of a tagged split."""
-    _check_order(order)
     from .perturbation import PerturbationSplit, nhpt_eigenvalue
 
-    if not hasattr(model, "tagged_terms"):
-        raise NotImplementedError(
-            f"{type(model).__name__} does not expose a perturbative split"
-        )
     if h is None:
         h = default_step(model)
 
@@ -459,7 +404,7 @@ def cumulants_perturbation(
         mu = int(np.argmin(np.abs(spectral_decompose(l0).eigenvalues)))
         return nhpt_eigenvalue(split, mu, order=2)
 
-    return _report_from_lambda0(f, selector, Method.PERTURBATION, h)
+    return _stencil_rates(f, h)
 
 
 def _slow_exponent_rates(u, du, d2u, period: float) -> tuple[float, float]:
@@ -563,20 +508,7 @@ def _pseudo_inverse_rates(l0, trace, l1, l2) -> tuple[np.ndarray, np.ndarray, np
     return flux, noise, np.finfo(float).eps * cond
 
 
-def _pseudo_inverse_report(selector: Selector, flux, noise, err) -> CumulantReport:
-    return CumulantReport(
-        mode=selector,
-        flux=float(flux),
-        noise=float(noise),
-        method=Method.PSEUDO_INVERSE,
-        h=0.0,
-        stencil_error=float(err),
-    )
-
-
-def cumulants_pseudo_inverse(
-    model, selector: Selector, order: int = 2, h: float | None = None
-) -> CumulantReport:
+def _pseudo_inverse(model, selector: Selector, h: None) -> Rates:
     """Flux and noise from the pseudo-inverse of the generator, with no step.
 
     The slow eigenvalue of L(x) has lambda' = l L' r and
@@ -596,16 +528,17 @@ def cumulants_pseudo_inverse(
     (flux, noise, error estimate).  :func:`cumulants_many` stacks the same
     solve over many models.
     """
-    _check_order(order)
-    _refuse_step(Method.PSEUDO_INVERSE, h)
     if hasattr(model, "pseudo_inverse_rates"):
-        return _pseudo_inverse_report(selector, *model.pseudo_inverse_rates(selector))
-    return _dense_pseudo_inverse([model], (selector,))[0][0]
+        flux, noise, err = model.pseudo_inverse_rates(selector)
+    else:
+        flux, noise, err = (a[0, 0] for a in _dense_pseudo_inverse([model], (selector,)))
+    return flux, noise, 0.0, err
 
 
-def _dense_pseudo_inverse(models, selectors) -> list[list[CumulantReport]]:
-    """PseudoInverse reports of every selector for each dense model, from
-    1 + 3K generator samples per model and one stacked bordered inverse.
+def _dense_pseudo_inverse(models, selectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """PseudoInverse flux, noise and error estimate of shape (n, K): every
+    selector for each dense model, from 1 + 3K generator samples per model
+    and one stacked bordered inverse.
 
     Models of one class that defines a ``stacked_liouvillian(models)`` hook
     are sampled through it, one (n, d, d) stack per field sample; others
@@ -620,12 +553,7 @@ def _dense_pseudo_inverse(models, selectors) -> list[list[CumulantReport]]:
     d1, d2, share = _degree_one_derivatives(samples, (0, -2, -1))
     traces = np.array([m.trace_vector() for m in models])
     flux, noise, cond_error = _pseudo_inverse_rates(samples[0, :, 0], traces, d1, d2)
-    err = np.maximum(share, cond_error[:, None])
-    return [
-        [_pseudo_inverse_report(s, flux[n, k], noise[n, k], err[n, k])
-         for k, s in enumerate(selectors)]
-        for n in range(len(models))
-    ]
+    return flux, noise, np.maximum(share, cond_error[:, None])
 
 
 def cumulants_many(
@@ -648,11 +576,12 @@ def cumulants_many(
     dense = [i for i, m in enumerate(models) if not hasattr(m, "pseudo_inverse_rates")]
     if method is Method.PSEUDO_INVERSE and h is None and dense:
         try:
-            stacked = _dense_pseudo_inverse([models[i] for i in dense], selectors)
+            flux, noise, err = _dense_pseudo_inverse([models[i] for i in dense], selectors)
         except Exception:  # redone model by model below
-            stacked = [None] * len(dense)
-        for i, reports in zip(dense, stacked):
-            results[i] = reports
+            dense = []
+        for n, i in enumerate(dense):
+            results[i] = [_report(s, method, flux[n, k], noise[n, k], 0.0, err[n, k])
+                          for k, s in enumerate(selectors)]
     for i, model in enumerate(models):
         if results[i] is None:
             try:
@@ -662,9 +591,7 @@ def cumulants_many(
     return results
 
 
-def cumulants_periodic(
-    model, selector: Selector, order: int = 2, h: float | None = None
-) -> CumulantReport:
+def _periodic(model, selector: Selector, h: None) -> Rates:
     """Flux and noise of a time-periodic model from its slow Floquet multiplier.
 
     The one-period propagator and its exact first two field derivatives come
@@ -677,12 +604,6 @@ def cumulants_periodic(
     beyond ``model.check_tol`` raises
     :class:`~photonstats.superop.StepConvergenceError`.
     """
-    _check_order(order)
-    _refuse_step(Method.PERIODIC_NUMERIC, h)
-    if not hasattr(model, "harmonic_derivatives"):
-        raise NotImplementedError(
-            f"{type(model).__name__} is not a time-periodic model"
-        )
     orders, h0, d1, d2, _ = model.harmonic_derivatives(selector)
     derivs = np.stack((h0, d1, d2))
     passes = []
@@ -695,23 +616,17 @@ def cumulants_periodic(
         if rel > model.check_tol:
             raise StepConvergenceError(u_coarse, u_fine, rel, model.check_tol)
     err = max(_rel_change(coarse[0], flux), _rel_change(coarse[1], noise))
-    return CumulantReport(
-        mode=selector,
-        flux=flux,
-        noise=noise,
-        method=Method.PERIODIC_NUMERIC,
-        h=0.0,
-        stencil_error=err,
-    )
+    return flux, noise, 0.0, err
 
 
-_DISPATCH = {
-    Method.SPECTRAL_FD: cumulants_spectral,
-    Method.CHARPOLY: cumulants_charpoly,
-    Method.ANALYTIC_ORACLE: cumulants_oracle,
-    Method.PERTURBATION: cumulants_perturbation,
-    Method.PERIODIC_NUMERIC: cumulants_periodic,
-    Method.PSEUDO_INVERSE: cumulants_pseudo_inverse,
+# each method's route and the model hook it needs (None: every model serves it)
+_ROUTES = {
+    Method.SPECTRAL_FD: (_spectral, None),
+    Method.CHARPOLY: (_charpoly, None),
+    Method.ANALYTIC_ORACLE: (_oracle, "oracle_rates"),
+    Method.PERTURBATION: (_perturbation, "tagged_terms"),
+    Method.PERIODIC_NUMERIC: (_periodic, "harmonic_derivatives"),
+    Method.PSEUDO_INVERSE: (_pseudo_inverse, None),
 }
 
 
@@ -722,8 +637,21 @@ def cumulants(
     order: int = 2,
     h: float | None = None,
 ) -> CumulantReport:
-    """Dispatch a cumulant computation to the requested method."""
-    return _DISPATCH[method](model, selector, order, h)
+    """Flux and noise of ``selector`` by ``method``.
+
+    The one place that checks a request (the cumulant order, a step for a
+    method outside ``STEP_METHODS``, the model hook the route needs, which
+    raises ``NotImplementedError``) and builds the report of a route's rates.
+    """
+    _check_order(order)
+    if h is not None and method not in STEP_METHODS:
+        raise ValueError(no_step_message(method))
+    route, hook = _ROUTES[method]
+    if hook is not None and not hasattr(model, hook):
+        raise NotImplementedError(
+            f"{type(model).__name__} has no {hook} hook, which {method.value} needs"
+        )
+    return _report(selector, method, *route(model, selector, h))
 
 
 def conservation_check(

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from ..charpoly import CharPolyCoeffs, char_poly, fourier_derivatives
-from ..counting import CumulantReport, Method, field_samples, flux_and_noise
+from ..counting import field_samples, flux_and_noise
 
 __all__ = [
     "JcParams",
@@ -336,14 +336,7 @@ class JaynesCummingsModel:
         rx, ry, rz = jc_stationary_bloch(self.params)
         return np.array([1.0, rx, ry, rz], dtype=complex)
 
-    def oracle_cumulants(self, selector) -> CumulantReport:
-        """AnalyticOracle: exact cumulants from the closed-form quartic."""
-        flux, noise = jc_exact_cumulants(self.params, selector)
-        return CumulantReport(
-            mode=selector,
-            flux=flux,
-            noise=noise,
-            method=Method.ANALYTIC_ORACLE,
-            h=0.0,
-            stencil_error=0.0,
-        )
+    def oracle_rates(self, selector) -> tuple[float, float, float]:
+        """AnalyticOracle: exact flux and noise from the closed-form quartic,
+        with a zero error estimate."""
+        return (*jc_exact_cumulants(self.params, selector), 0.0)

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..bessel import bessel_j
 from ..charpoly import DegenerateRootError
-from ..counting import CumulantReport, Method, field_derivatives, flux_and_noise
+from ..counting import field_derivatives, flux_and_noise
 from ..superop import (
     BlockTridiagonalLU,
     StepConvergenceError,
@@ -297,12 +297,12 @@ class LambdaModel:
         v[0] = 1.0
         return v
 
-    def oracle_cumulants(self, selector) -> CumulantReport:
+    def oracle_rates(self, selector) -> tuple[float, float, float]:
         """AnalyticOracle: exact field derivatives of :func:`lambda_lambda0_pt2`.
 
         The closed form is of trigonometric degree 1 in each field, so four
-        samples determine its derivatives; the reported ``stencil_error`` is
-        their Nyquist share.
+        samples determine its derivatives; the error estimate is their
+        Nyquist share.
         """
         if selector == "bath":
             raise ValueError("the closed-form slow eigenvalue counts drive photons only")
@@ -310,15 +310,7 @@ class LambdaModel:
         _, d1, d2, share = field_derivatives(
             self, selector, lambda chi, xi: lambda_lambda0_pt2(self.params, chi)
         )
-        flux, noise = flux_and_noise(d1, d2)
-        return CumulantReport(
-            mode=selector,
-            flux=flux,
-            noise=noise,
-            method=Method.ANALYTIC_ORACLE,
-            h=0.0,
-            stencil_error=share,
-        )
+        return (*flux_and_noise(d1, d2), share)
 
 
 def _harmonic_cutoff(p: LambdaParams) -> int:

@@ -2,17 +2,21 @@
 
 import math
 import re
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from photonstats import counting
+from photonstats.cli import build_model
 from photonstats.config import (
     Scenario,
     ScenarioError,
     Task,
     apply_sweep_value,
     parse_scenario,
+    route_violations,
 )
 from photonstats.counting import DEFAULT_METHOD, Method
 from photonstats.models.jc import JcParams
@@ -90,6 +94,32 @@ def test_periodic_numeric_is_lambda_only():
     doc = MINIMAL + "method: PeriodicNumeric\n"
     with pytest.raises(ScenarioError):
         parse_scenario(doc)
+
+
+def _engine_refuses(model, method: Method, selector) -> bool:
+    """Whether the engine refuses ``selector`` by ``method`` on ``model``:
+    the model lacks the route's hook, or the selector is out of range or the
+    hook, asked with it where it takes one, refuses it (no route is run)."""
+    hook = counting._ROUTES[method][1]
+    if hook is not None and not hasattr(model, hook):
+        return True
+    try:
+        counting._fields_for(model, selector, 0.0)
+        if hook in ("oracle_rates", "harmonic_derivatives"):  # the hooks that take it
+            getattr(model, hook)(selector)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("kind", ["jc", "lambda"])
+def test_the_route_table_refuses_exactly_what_the_engine_refuses(kind):
+    base = parse_scenario(f"model:\n  kind: {kind}\n")
+    for method in Method:
+        model = build_model(replace(base, method=method))
+        for selector in (1, 2, "drive", "bath"):
+            refused = bool(route_violations(kind, method, (selector,)))
+            assert refused == _engine_refuses(model, method, selector), (method, selector)
 
 
 def test_closed_task_is_jc_only():
@@ -365,6 +395,19 @@ INVALID = [
      ["sweep.start: must be positive for a log sweep"]),
     ("log-sweep-default-start", JC + SWEEP + "  log: true\n",
      ["sweep.start: must be positive for a log sweep"]),
+    ("log-sweep-stop-0", JC + SWEEP + "  start: 0.1\n  stop: 0.0\n  points: 3\n  log: true\n",
+     ["sweep.stop: must be positive for a log sweep"]),
+    ("log-sweep-both-ends", JC + SWEEP + "  start: -1\n  stop: 0\n  log: true\n",
+     ["sweep.start: must be positive for a log sweep",
+      "sweep.stop: must be positive for a log sweep"]),
+    # each sweep's name names its CSV, so a reused name would overwrite one
+    ("sweeps-same-default-name", JC + "sweeps:\n  - variable: gamma\n  - variable: gamma\n",
+     ["sweeps[1].name: 'gamma' is already used by sweeps[0]"]),
+    ("sweeps-same-given-name",
+     JC + "sweeps:\n  - variable: gamma\n  - {variable: omega1, name: a}\n"
+     "  - {variable: omega2, name: gamma}\n  - {variable: phi1, name: a}\n",
+     ["sweeps[2].name: 'gamma' is already used by sweeps[0]",
+      "sweeps[3].name: 'a' is already used by sweeps[1]"]),
     ("repeat-param-without-values", JC + SWEEP + "  repeat_param: phi2\n",
      ["sweep.repeat_values: expected a nonempty list"]),
     ("repeat-values-without-param", JC + "sweep:\n  variable: gamma\n  repeat_values: bogus\n",

@@ -13,9 +13,6 @@ from photonstats.counting import (
     Method,
     conservation_check,
     cumulants,
-    cumulants_charpoly,
-    cumulants_oracle,
-    cumulants_spectral,
     default_step,
     dynamical_mgf,
     gaussian_initial_mgf,
@@ -23,6 +20,7 @@ from photonstats.counting import (
     lambda0_nearest,
     spectral_gap,
 )
+from photonstats.models import jc, lambda_system
 from photonstats.models.jc import (
     JaynesCummingsModel,
     JcParams,
@@ -125,7 +123,7 @@ class TestMgf:
 class TestCumulants:
     def test_spectral_matches_oracle(self):
         m = model(eps_delta=0.2, omega2=0.8, phi2=0.6, gamma=0.03)
-        rep = cumulants_spectral(m, 1)
+        rep = cumulants(m, 1, method=Method.SPECTRAL_FD)
         flux, noise = jc_exact_cumulants(m.params, "mode1")
         assert rep.flux == pytest.approx(flux, rel=1e-8)
         assert rep.noise == pytest.approx(noise, rel=1e-6)
@@ -133,42 +131,48 @@ class TestCumulants:
 
     def test_charpoly_matches_oracle(self):
         m = model(eps_delta=0.2, omega2=0.8, phi2=0.6, gamma=0.03)
-        rep = cumulants_charpoly(m, 1)
+        rep = cumulants(m, 1, method=Method.CHARPOLY)
         flux, noise = jc_exact_cumulants(m.params, "mode1")
         assert rep.flux == pytest.approx(flux, rel=1e-9)
         assert rep.noise == pytest.approx(noise, rel=1e-8)
 
     def test_explicit_step_honored(self):
         m = model(gamma=0.1)
-        rep = cumulants_spectral(m, 1, h=3e-4)
+        rep = cumulants(m, 1, method=Method.SPECTRAL_FD, h=3e-4)
         assert rep.h == 3e-4
 
     def test_higher_cumulants_refused(self):
         m = model()
-        for fn in (cumulants_spectral, cumulants_charpoly):
+        for method in (Method.SPECTRAL_FD, Method.CHARPOLY):
             with pytest.raises(ValueError):
-                fn(m, 1, order=3)
+                cumulants(m, 1, method=method, order=3)
         with pytest.raises(ValueError):
             cumulants(m, 1, order=3)
 
     def test_selector_validation(self):
         m = model()
         with pytest.raises(ValueError):
-            cumulants_spectral(m, 3)
+            cumulants(m, 3, method=Method.SPECTRAL_FD)
         with pytest.raises(ValueError):
-            cumulants_spectral(m, "everything")
+            cumulants(m, "everything", method=Method.SPECTRAL_FD)
 
     def test_engine_imports_no_model_and_tables_every_method(self):
-        tree = ast.parse(Path(counting.__file__).read_text(encoding="utf-8"))
-        imported = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                imported.append(node.module or "")
-                imported += [alias.name for alias in node.names]
-            elif isinstance(node, ast.Import):
-                imported += [alias.name for alias in node.names]
-        assert not [name for name in imported if "models" in name.split(".")]
-        assert set(counting._DISPATCH) == set(Method)
+        def imported(module):
+            tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+            names = []
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    names.append(node.module or "")
+                    names += [alias.name for alias in node.names]
+                elif isinstance(node, ast.Import):
+                    names += [alias.name for alias in node.names]
+            return names
+
+        assert not [name for name in imported(counting) if "models" in name.split(".")]
+        assert set(counting._ROUTES) == set(Method)
+        # the engine alone builds reports; a model hook returns rates
+        for module in (jc, lambda_system):
+            assert "CumulantReport" not in imported(module)
 
     def test_dispatch(self):
         m = model(gamma=0.05)
@@ -189,7 +193,7 @@ class TestCumulants:
                 phi2=float(RNG.uniform(0, math.pi)),
                 gamma=float(10 ** RNG.uniform(-3, 0)),
             )
-            rep = cumulants_oracle(JaynesCummingsModel(p), 1)
+            rep = cumulants(JaynesCummingsModel(p), 1, method=Method.ANALYTIC_ORACLE)
             assert rep.noise >= -1e-10
 
 
@@ -203,6 +207,6 @@ class TestConservation:
 
     def test_semiclassical_flux_matches_counting(self):
         m = model(eps_delta=0.15, omega2=0.9, phi2=1.2, gamma=0.02)
-        rep = cumulants_oracle(m, 1)
+        rep = cumulants(m, 1, method=Method.ANALYTIC_ORACLE)
         assert jc_semiclassical_flux(m.params, 1) == pytest.approx(rep.flux, rel=1e-10)
 

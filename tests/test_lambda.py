@@ -11,7 +11,6 @@ from photonstats.counting import (
     Method,
     conservation_check,
     cumulants,
-    cumulants_perturbation,
     lambda0_nearest,
 )
 from photonstats.models.lambda_system import (
@@ -253,7 +252,7 @@ class TestPeriodicModel:
         )
 
     def test_perturbation_dispatch(self):
-        rep = cumulants_perturbation(LambdaModel(BASE), 2)
+        rep = cumulants(LambdaModel(BASE), 2, method=Method.PERTURBATION)
         oracle = cumulants(LambdaModel(BASE), 2, method=Method.ANALYTIC_ORACLE)
         assert rep.flux == pytest.approx(oracle.flux, rel=1e-8)
         assert rep.method is Method.PERTURBATION

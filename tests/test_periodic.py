@@ -367,7 +367,8 @@ def test_fig4_numeric_columns_match_rk4_without_running_it(tmp_path, monkeypatch
         main, ["fig4", "--config", str(cfg), "--out", str(out), "--threads", "1"]
     )
     assert result.exit_code == 0, result.output
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == len(refs)
     for row in rows:
         ref = refs[(int(row["r"]), float(row["omega_delta"]))]
