@@ -411,7 +411,7 @@ def parse_scenario(text: str, method: str | None = None,
         out.append("sweep: give either 'sweep' or 'sweeps', not both")
     sweeps = ([top.pop("sweep")] if "sweep" in top else []) + top.pop("sweeps", [])
     scenario = Scenario(*(model or ("jc", JcParams())), sweeps=tuple(sweeps), **top)
-    if scenario.task is Task.SCAN and not sweeps:
+    if scenario.task is Task.SCAN and not {"sweep", "sweeps"} & doc.keys():
         out.append("sweep: a Scan task requires a sweep specification")
     if scenario.task is Task.CLOSED and model and model[0] != "jc":
         out.append("task: ClosedSystem statistics are defined for the jc model")

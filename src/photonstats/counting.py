@@ -438,12 +438,11 @@ _NYQUIST_RTOL = 1e-12
 
 def field_samples(
     model, selectors: Sequence[Selector], fn: Callable[[tuple, tuple], np.ndarray],
-    n: int = 4,
 ) -> np.ndarray:
-    """fn(chi, xi) at the field angles 2 pi j / n, j < n, along each selector,
-    of shape (n, len(selectors)) + fn's shape; the zero-field sample is
+    """fn(chi, xi) at the four field angles 2 pi j / 4 along each selector,
+    of shape (4, len(selectors)) + fn's shape; the zero-field sample is
     taken once and shared by every selector."""
-    rows = [[_fields_for(model, s, 2.0 * math.pi * j / n) for s in selectors] for j in range(n)]
+    rows = [[_fields_for(model, s, 2.0 * math.pi * j / 4) for s in selectors] for j in range(4)]
     first = fn(rows[0][0].chi, rows[0][0].xi)
     return np.array(
         [[first] * len(selectors)] + [[fn(f.chi, f.xi) for f in row] for row in rows[1:]],

@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..charpoly import CharPolyCoeffs, char_poly, fourier_derivatives
-from ..counting import field_samples, flux_and_noise
+from ..charpoly import CharPolyCoeffs
+from ..counting import flux_and_noise
 
 __all__ = [
     "JcParams",
@@ -200,26 +200,30 @@ def jc_exact_cumulants(p: JcParams, field: str | int = "mode1") -> tuple[float, 
     """Flux and noise rate by implicit differentiation of the exact quartic.
 
     ``field`` is 'mode1', 'mode2', 'drive' or 'bath', or a counting
-    selector (1 and 2 name the modes).  With
-    P(lambda(x), x) = 0 and lambda(0) = 0, differentiating twice gives
-    lambda' = -a0'/a1 and lambda'' = -(a0'' + 2 a1' lambda' + 2 a2 lambda'^2)/a1.
-    Every matrix entry of the dressed generator is a trigonometric
-    polynomial of degree 1 in any single counting field, so each
-    coefficient has trigonometric degree <= 4 and its Fourier interpolant
-    over 16 equispaced samples is exact: a non-perturbative oracle limited
-    only by round-off.
+    selector (1 and 2 name the modes).  With P(lambda(x), x) = 0 and
+    lambda(0) = 0, lambda' = -a0'/a1 and lambda'' = -(a0'' + 2 a1' lambda'
+    + 2 a2 lambda'^2)/a1, from the coefficients' closed-form field derivatives.
     """
-    model = JaynesCummingsModel(p)
     selector = {"mode1": 1, "mode2": 2}.get(field, field)
-    samples = field_samples(
-        model, (selector,),
-        lambda chi, xi: char_poly(model.dressed_liouvillian(chi, xi)).coefficients, 16,
-    )
-    _, a, da, d2a = fourier_derivatives(samples[:, 0])
+    a = jc_charpoly_analytic(p, 0.0, 0.0).coefficients
+    g, e = p.gamma, p.eps_delta
+    if selector in ("drive", "bath"):  # the quartic depends on xi - chi only
+        sign, w2 = (1.0 if selector == "drive" else -1.0), p.omega_phi_sq
+        da0, d2a0, da1 = -16j * sign * w2 * g * g, 16.0 * w2 * g * g, -8j * sign * g * w2
+    elif selector in (1, 2) and isinstance(selector, int):  # mode 2: the drives exchanged
+        o1, o2, phi = ((p.omega1, p.omega2, p.phi1 - p.phi2) if selector == 1
+                       else (p.omega2, p.omega1, p.phi2 - p.phi1))
+        x, y = o2 * math.cos(phi), o2 * math.sin(phi)  # the other drive, in this one's phase
+        da0 = -8j * g * o1 * (e * y + 2 * g * o1 + 2 * g * x)
+        d2a0 = 8j * o1 * (g * (e * x - 2j * g * o1 - 2 * g * y) - 1j * o1 * y * y)
+        da1 = -8j * g * o1 * (o1 + 1j * y + x)
+    else:
+        raise ValueError(f"mode {selector} out of range" if isinstance(selector, int)
+                         else f"unknown counting selector {selector!r}")
     if abs(a[1]) == 0.0:
         raise ZeroDivisionError("degenerate stationary root (a1 = 0)")
-    lam1 = -da[0] / a[1]
-    lam2 = -(d2a[0] + 2.0 * da[1] * lam1 + 2.0 * a[2] * lam1 * lam1) / a[1]
+    lam1 = -da0 / a[1]
+    lam2 = -(d2a0 + 2.0 * da1 * lam1 + 2.0 * a[2] * lam1 * lam1) / a[1]
     return flux_and_noise(lam1, lam2)
 
 

@@ -425,6 +425,14 @@ INVALID = [
      ["sweep.repeat_values[1]: expected a number, got 'a'"]),
     ("scan-without-sweep", JC + "task: Scan\n",
      ["sweep: a Scan task requires a sweep specification"]),
+    # a refused sweep is reported once, not also as a missing one
+    ("scan-log-sweep-stop-0", JC + "task: Scan\n" + SWEEP + "  start: 0.1\n  stop: 0.0\n"
+     "  points: 3\n  log: true\n",
+     ["sweep.stop: must be positive for a log sweep"]),
+    ("scan-sweep-points-0", JC + "task: Scan\n" + SWEEP + "  points: 0\n",
+     ["sweep.points: must be >= 2"]),
+    ("scan-sweep-variable-missing", JC + "task: Scan\nsweep:\n  start: 1\n",
+     [f"sweep.variable: expected one of {JC_VARIABLES}, got None"]),
     ("closed-task-lambda", LAMBDA + "task: ClosedSystem\n",
      ["task: ClosedSystem statistics are defined for the jc model"]),
     ("periodic-numeric-jc", JC + "method: PeriodicNumeric\n",

@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_acceptance import probe_sweep_grid
 
 from photonstats.charpoly import char_poly
 from photonstats.counting import Method, cumulants
 from photonstats.distributions import closed_mgf
+from photonstats.models import jc as jc_module
 from photonstats.models.jc import (
     JaynesCummingsModel,
     JcParams,
@@ -130,8 +132,44 @@ class TestFluxOracles:
         assert i_drive == pytest.approx(-i_bath, abs=1e-12)
 
     def test_unknown_field_is_refused(self):
-        with pytest.raises(ValueError, match="'bogus'"):
+        with pytest.raises(ValueError, match="^unknown counting selector 'bogus'$"):
             jc_exact_cumulants(JcParams(), "bogus")
+        with pytest.raises(ValueError, match="^mode 3 out of range$"):
+            jc_exact_cumulants(JcParams(), 3)
+
+
+class TestClosedFormOracle:
+    def test_matches_pseudo_inverse_on_the_acceptance_grid(self):
+        for p in probe_sweep_grid():
+            model = JaynesCummingsModel(p)
+            for selector in (1, 2, "drive", "bath"):
+                rep = cumulants(model, selector, method=Method.PSEUDO_INVERSE)
+                # PseudoInverse's drive noise loses digits to cancellation
+                theirs = (rep.flux,) if selector == "drive" else (rep.flux, rep.noise)
+                # the floor covers the rates that vanish at omega2 = 0
+                for a, b in zip(jc_exact_cumulants(p, selector), theirs):
+                    assert abs(a - b) <= 1e-11 * abs(b) + 1e-15, (p, selector)
+
+    def test_photon_ledger(self):
+        for p in probe_sweep_grid():
+            drive, bath = jc_exact_cumulants(p, "drive"), jc_exact_cumulants(p, "bath")
+            assert abs(drive[0] + bath[0]) <= 1e-14 * abs(bath[0])
+            assert abs(drive[1] - bath[1]) <= 1e-14 * abs(bath[1])
+
+    def test_does_not_run_the_charpoly_route(self, monkeypatch):
+        sampled = ("char_poly", "fourier_derivatives", "field_samples")
+        assert not set(sampled) & vars(jc_module).keys()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed form samples no characteristic polynomial")
+
+        monkeypatch.setattr("photonstats.charpoly.char_poly", refuse)
+        monkeypatch.setattr("photonstats.charpoly.fourier_derivatives", refuse)
+        monkeypatch.setattr("photonstats.counting.field_samples", refuse)
+        p = JcParams(eps_delta=0.3, omega2=0.7, phi2=1.1, gamma=0.02)
+        for selector in ("mode1", "mode2", "drive", "bath"):
+            flux, noise = jc_exact_cumulants(p, selector)
+            assert math.isfinite(flux) and math.isfinite(noise)
 
 
 class TestNoise:
