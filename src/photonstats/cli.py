@@ -7,6 +7,7 @@ order); repeated runs of the same scenario are byte-identical.  Exit codes:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -297,17 +298,12 @@ _sweep_command("fig5", "fig5.yaml", "Signal-mode statistics vs pump-modulation a
 
 
 def _table(dist) -> tuple[list[str], list[list]]:
-    """Header and rows of a distribution table: the photon numbers, then
-    their probability."""
-    if dist.n_modes == 1:
-        rows = [[int(n), float(p)] for n, p in zip(dist.offsets[0], dist.probabilities)]
-        return ["n_1", "probability"], rows
-    rows = [
-        [int(n1), int(n2), float(dist.probabilities[i, j])]
-        for i, n1 in enumerate(dist.offsets[0])
-        for j, n2 in enumerate(dist.offsets[1])
-    ]
-    return ["n_1", "n_2", "probability"], rows
+    """Header and rows of a distribution table: the photon numbers of the
+    resolved modes, in their order, then their probability."""
+    header = [f"n_{m}" for m in dist.metadata["modes"]] + ["probability"]
+    numbers = itertools.product(*(list(map(int, offsets)) for offsets in dist.offsets))
+    rows = [[*ns, p] for ns, p in zip(numbers, dist.probabilities.ravel().tolist())]
+    return header, rows
 
 
 @_command("distribution")

@@ -263,14 +263,16 @@ _NUMERICS = {
     "steps": _bounded(_integer, lambda n: n >= MIN_STEPS, f"must be >= {MIN_STEPS}, got {{}}"),
     "threads": _bounded(_integer, lambda n: n >= 1, "must be >= 1, got {}"),
 }
+_nonnegative_numbers = _bounded(_numbers("a nonempty list of numbers"),
+                                lambda v: min(v) >= 0, "must be nonnegative")
 _DISTRIBUTION = {
     "modes": _nullable(_one_of(((1,), (2,), (1, 2), (2, 1)),
                                "expected [1], [2], [1, 2] or [2, 1]", list)),
     "time": _bounded(_number, lambda t: t >= 0, "must be nonnegative"),
     "law": _nullable(_one_of(("poisson", "gaussian"), "expected 'poisson' or 'gaussian'")),
     "nbar": _numbers("a nonempty list of numbers"),
-    "sigma2": _numbers("a nonempty list of numbers"),
-    "alphas": _numbers("a nonempty list of numbers"),
+    "sigma2": _nonnegative_numbers,
+    "alphas": _nonnegative_numbers,
 }
 _CLOSED = {
     "weights": _nullable(_bounded(_numbers("a list of two numbers summing to 1", length=2),
@@ -332,9 +334,12 @@ def _sweeps(out: list, path: str, value, kind: str) -> list[SweepSpec] | None:
 
 
 def _distribution(out: list, path: str, doc) -> DistributionSpec:
-    spec = DistributionSpec(**(_section(out, path, doc, _DISTRIBUTION) or {}))
+    valid = _section(out, path, doc, _DISTRIBUTION) or {}
+    spec = DistributionSpec(**valid)
+    # a list refused above keeps its violation alone, not its default's too
+    refused = set(doc) - set(valid) if isinstance(doc, dict) else set()
     for key in ("alphas",) if spec.law == "poisson" else ("nbar", "sigma2"):
-        if len(getattr(spec, key)) < len(spec.modes):
+        if key not in refused and len(getattr(spec, key)) < len(spec.modes):
             out.append(f"{path}.{key}: needs one entry per resolved mode ({len(spec.modes)})")
     return spec
 

@@ -21,7 +21,6 @@ The engine imports no model.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -69,6 +68,9 @@ __all__ = [
 
 # a report whose error estimate exceeds this is flagged
 STENCIL_FLAG_RTOL = 1e-6
+# a drive-vs-bath ledger passes when its residuals are within these
+_LEDGER_FLUX_TOL = 1e-8
+_LEDGER_NOISE_TOL = 1e-6
 # Newton steps that refine each stencil eigenvalue (lambda0_nearest)
 _NEWTON_STEPS = 2
 
@@ -124,7 +126,6 @@ class MgfValue:
     """
 
     value: complex
-    time: float
     fallback: bool = False
 
 
@@ -158,14 +159,12 @@ class ConservationReport:
     bath: CumulantReport
     flux_residual: float
     noise_residual: float
-    flux_tol: float
-    noise_tol: float
 
     @property
     def passed(self) -> bool:
         return (
-            abs(self.flux_residual) <= self.flux_tol
-            and abs(self.noise_residual) <= self.noise_tol
+            abs(self.flux_residual) <= _LEDGER_FLUX_TOL
+            and abs(self.noise_residual) <= _LEDGER_NOISE_TOL
         )
 
 
@@ -186,7 +185,7 @@ def dynamical_mgf(model, fields: CountingFields, rho0_vec, t: float) -> MgfValue
     minus = evolve_generalized(model, fields.negated_chi(), rho0_vec, t)
     left = complex(trace @ plus.vector) / 2.0
     right = np.conj(complex(trace @ minus.vector)) / 2.0
-    return MgfValue(value=left + right, time=t, fallback=plus.fallback or minus.fallback)
+    return MgfValue(value=left + right, fallback=plus.fallback or minus.fallback)
 
 
 def initial_mgf(alphas: Sequence[float], chi: Sequence[float]) -> complex:
@@ -330,10 +329,8 @@ def _report(selector: Selector, method: Method, flux, noise, h, err) -> Cumulant
 def _stencil_rates(f: Callable[[float], complex], h: float) -> Rates:
     from .numdiff import central_derivative  # only the stencil routes load it
 
-    fc = functools.cache(f)  # the two stencils share their samples
-    d1 = central_derivative(fc, 1, h)
-    d2 = central_derivative(fc, 2, h)
-    return (*flux_and_noise(d1.value, d2.value), h, max(d1.rel_error, d2.rel_error))
+    d1, d2, rel_error = central_derivative(f, h)
+    return (*flux_and_noise(d1, d2), h, rel_error)
 
 
 def _spectral(model, selector: Selector, h: float | None) -> Rates:
@@ -657,8 +654,6 @@ def conservation_check(
     model,
     method: Method = DEFAULT_METHOD,
     h: float | None = None,
-    flux_tol: float = 1e-8,
-    noise_tol: float = 1e-6,
 ) -> ConservationReport:
     """Compare the total-drive ledger against the bath ledger.
 
@@ -673,6 +668,4 @@ def conservation_check(
         bath=bath,
         flux_residual=drive.flux + bath.flux,
         noise_residual=drive.noise - bath.noise,
-        flux_tol=flux_tol,
-        noise_tol=noise_tol,
     )

@@ -113,9 +113,8 @@ def _mgf_moments(mgf: Callable[..., complex], n_modes: int) -> tuple[list[float]
             chi[k] = x
             return np.log(mgf(tuple(chi)))
 
-        d1 = central_derivative(f, 1, _MOMENT_STEP)
-        d2 = central_derivative(f, 2, _MOMENT_STEP)
-        mean, variance = flux_and_noise(d1.value, d2.value)
+        d1, d2, _ = central_derivative(f, _MOMENT_STEP)
+        mean, variance = flux_and_noise(d1, d2)
         means.append(mean)
         variances.append(max(variance, 0.0))
     return means, variances

@@ -51,7 +51,6 @@ class PerturbationSplit:
 
     l0: np.ndarray
     l1: np.ndarray
-    g: float = 1.0
 
     def __post_init__(self) -> None:
         l0 = np.asarray(self.l0, dtype=complex)

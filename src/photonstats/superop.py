@@ -120,7 +120,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    cond: float
 
     @property
     def dim(self) -> int:
@@ -143,7 +142,7 @@ def spectral_decompose(a: np.ndarray) -> SpectralDecomposition:
     if not np.isfinite(cond) or cond > DEFECTIVE_THRESHOLD:
         raise DefectiveMatrixError(cond)
     left = np.linalg.inv(right)
-    return SpectralDecomposition(eigenvalues=evals, right=right, left=left, cond=cond)
+    return SpectralDecomposition(eigenvalues=evals, right=right, left=left)
 
 
 @dataclass(frozen=True)

@@ -393,6 +393,25 @@ def test_periodic_numeric_scan_runs_the_periodic_model(runner, tmp_path):
         assert row["method"] == "PeriodicNumeric" and row["error"] == ""
 
 
+@pytest.mark.parametrize("modes, nbar", [([2], [100.0]), ([2, 1], [100.0, 400.0])])
+def test_distribution_columns_name_the_resolved_modes(runner, tmp_path, modes, nbar):
+    doc = JOINT_DOC.replace("modes: [1, 2]", f"modes: {modes}").replace(
+        "nbar: [1000.0, 1000.0]", f"nbar: {nbar}"
+    )
+    cfg = write(tmp_path, "d.yaml", doc)
+    out = str(tmp_path / "d.csv")
+    result = runner.invoke(main, ["distribution", "--config", cfg, "--out", out])
+    assert result.exit_code == 0, result.output
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == [f"n_{m}" for m in modes] + ["probability"]
+    p = np.array([float(row["probability"]) for row in rows])
+    # each column's mean is its own mode's initial mean, give or take the
+    # few photons that the dynamics move
+    for m, mean in zip(modes, nbar):
+        assert np.array([int(row[f"n_{m}"]) for row in rows]) @ p == pytest.approx(mean, abs=5.0)
+
+
 def distribution_cumulants(path):
     """Total, mean, variance and third central moment of a one-mode table."""
     with open(path, newline="") as fh:

@@ -345,6 +345,13 @@ INVALID = [
      ["numerics.threads: must be >= 1, got 0"]),
     ("distribution-time-negative", JC + "distribution:\n  time: -1\n",
      ["distribution.time: must be nonnegative"]),
+    ("alphas-negative", JC + "distribution:\n  law: poisson\n  alphas: [-3.0]\n",
+     ["distribution.alphas: must be nonnegative"]),
+    ("sigma2-negative", JC + "distribution:\n  law: gaussian\n  sigma2: [-4.0]\n",
+     ["distribution.sigma2: must be nonnegative"]),
+    ("sigma2-negative-two-modes",
+     JC + "distribution:\n  modes: [1, 2]\n  nbar: [1.0, 1.0]\n  sigma2: [-4.0, 1.0]\n",
+     ["distribution.sigma2: must be nonnegative"]),
     ("closed-time-negative", JC + "closed:\n  time: -10\n",
      ["closed.time: must be nonnegative"]),
     ("closed-mode-3", JC + "closed:\n  mode: 3\n",

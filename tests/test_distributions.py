@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+from photonstats import distributions
+from photonstats.counting import dynamical_mgf
 from photonstats.distributions import (
     GaussianLaw,
     PhotonDistribution,
@@ -145,6 +147,18 @@ class TestReconstructDynamical:
         assert dist.mean(1) == pytest.approx(
             dist.metadata["mgf_mean"][1], rel=1e-3
         )
+
+    def test_seven_moment_samples_then_the_grid(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return dynamical_mgf(*args)
+
+        monkeypatch.setattr(distributions, "dynamical_mgf", counted)
+        m = jc_model(gamma=0.2)
+        reconstruct(m, m.stationary_vector(), GaussianLaw((40.0,), (9.0,)), 5.0, (1,), 128)
+        assert len(calls) == 7 + 128
 
 
 class NilpotentModel:
