@@ -270,7 +270,7 @@ _DISTRIBUTION = {
                                "expected [1], [2], [1, 2] or [2, 1]", list)),
     "time": _bounded(_number, lambda t: t >= 0, "must be nonnegative"),
     "law": _nullable(_one_of(("poisson", "gaussian"), "expected 'poisson' or 'gaussian'")),
-    "nbar": _numbers("a nonempty list of numbers"),
+    "nbar": _nonnegative_numbers,
     "sigma2": _nonnegative_numbers,
     "alphas": _nonnegative_numbers,
 }

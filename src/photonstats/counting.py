@@ -6,21 +6,23 @@ noise reports by differentiation at zero counting fields.  Each route only
 computes rates; :func:`cumulants` is the one place that checks a request
 (order, step, the route's model hook) and builds a report.  The default
 route, PseudoInverse, differentiates lambda_0 exactly through the
-pseudo-inverse of the generator.  Optional model
+pseudo-inverse of the generator, whose exact field components a static
+model class returns for a stack of models (``field_components(models)``;
+:func:`selector_derivatives` reads L' and L'' from them).  Optional model
 hooks serve the other routes: ``tagged_terms(chi, xi)`` PerturbationTheory,
 ``harmonic_derivatives(selector)`` PeriodicNumeric (which differentiates
 the slow Floquet multiplier exactly) and ``oracle_rates(selector)``
 AnalyticOracle; ``pseudo_inverse_rates(selector)`` lets a structured
 model serve PseudoInverse.  Both rate hooks return (flux, noise, error
 estimate).  :func:`cumulants_many` serves a sweep, stacking
-the PseudoInverse solves of many dense models; a model class's
-``stacked_liouvillian(models)`` builds their generators a stack at a time.
-The engine imports no model.
+the PseudoInverse solves of many static models.  The engine imports no
+model.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,7 +32,6 @@ import numpy as np
 from .charpoly import (
     DegenerateRootError,
     coefficient_derivatives,
-    fourier_derivatives,
     truncated_root,
 )
 from .superop import (
@@ -58,8 +59,7 @@ __all__ = [
     "lambda0_nearest",
     "spectral_gap",
     "default_step",
-    "field_samples",
-    "field_derivatives",
+    "selector_derivatives",
     "flux_and_noise",
     "cumulants",
     "cumulants_many",
@@ -430,48 +430,19 @@ def _rel_change(coarse: float, fine: float) -> float:
     return abs(fine - coarse) / max(abs(fine), 1e-300)
 
 
-_NYQUIST_RTOL = 1e-12
+def selector_derivatives(model, selector: Selector, plus, minus):
+    """L' and L'' along ``selector`` at zero field, exactly.
 
-
-def field_samples(
-    model, selectors: Sequence[Selector], fn: Callable[[tuple, tuple], np.ndarray],
-) -> np.ndarray:
-    """fn(chi, xi) at the four field angles 2 pi j / 4 along each selector,
-    of shape (4, len(selectors)) + fn's shape; the zero-field sample is
-    taken once and shared by every selector."""
-    rows = [[_fields_for(model, s, 2.0 * math.pi * j / 4) for s in selectors] for j in range(4)]
-    first = fn(rows[0][0].chi, rows[0][0].xi)
-    return np.array(
-        [[first] * len(selectors)] + [[fn(f.chi, f.xi) for f in row] for row in rows[1:]],
-        dtype=complex,
-    )
-
-
-def _degree_one_derivatives(samples: np.ndarray, axes=None):
-    """First two derivatives at zero field of ``samples`` over four field
-    angles (axis 0), and the weight of their Nyquist bin relative to the
-    largest sample over ``axes``; a share above 1e-12 raises ``ValueError``."""
-    coeffs, _, d1, d2 = fourier_derivatives(samples)
-    share = np.abs(coeffs[2:3]).max(axis=axes) / np.maximum(np.abs(samples).max(axis=axes), 1e-300)
-    if np.max(share) > _NYQUIST_RTOL:
-        raise ValueError("generator is not of trigonometric degree 1 in the field")
-    return d1, d2, share
-
-
-def field_derivatives(
-    model, selector: Selector, fn: Callable[[tuple, tuple], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """fn(chi, xi) and its first two derivatives along ``selector`` at zero field.
-
-    ``fn`` must be of trigonometric degree 1 in the field: four equispaced
-    samples over one field period then determine it exactly, so the
-    derivatives carry roundoff only.  The Nyquist bin must be empty: its
-    weight relative to the largest sample is returned as the share, and a
-    share above 1e-12 raises ``ValueError``.
+    ``plus`` and ``minus`` hold a generator's field components, one per
+    field (chi_1, ..., xi_1, ...) on axis 0 and any shape behind it, so that
+    L = L_0 + sum_f (e^{i theta_f} plus[f] + e^{-i theta_f} minus[f]).  With
+    u the selector's 0/1 field mask, L' = i sum_f u_f (plus[f] - minus[f])
+    and L'' = -sum_f u_f (plus[f] + minus[f]).
     """
-    samples = field_samples(model, (selector,), fn)[:, 0]
-    d1, d2, share = _degree_one_derivatives(samples)
-    return samples[0], d1, d2, float(share)
+    fields = _fields_for(model, selector, 1.0)
+    counted = np.array(fields.chi + fields.xi) != 0.0
+    plus, minus = plus[counted], minus[counted]
+    return 1j * (plus - minus).sum(axis=0), -(plus + minus).sum(axis=0)
 
 
 def _pseudo_inverse_rates(l0, trace, l1, l2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -480,7 +451,11 @@ def _pseudo_inverse_rates(l0, trace, l1, l2) -> tuple[np.ndarray, np.ndarray, np
     ``l0`` stacks n zero-field generators (n, d, d), ``trace`` their left
     null vectors (n, d), and ``l1``, ``l2`` K field-derivative pairs per
     generator (n, K, d, d).  One stacked inverse of the bordered matrices
-    serves every pair; a singular one raises ``DegenerateRootError``.
+    serves every pair; a singular one raises ``DegenerateRootError``.  Each
+    solve takes one step of iterative refinement with that inverse, z ->
+    z + B^{-1} (b - B z): lambda'' is a difference of two terms that can be
+    hundreds of times larger than itself, which amplifies the error of an
+    unrefined x by as much.
     """
     n, dim = l0.shape[:2]
     bordered = np.zeros((n, dim + 1, dim + 1), dtype=complex)
@@ -493,12 +468,21 @@ def _pseudo_inverse_rates(l0, trace, l1, l2) -> tuple[np.ndarray, np.ndarray, np
         raise DegenerateRootError(
             "the bordered generator is singular: the stationary state is not unique"
         ) from exc
-    r = inverse[:, None, :dim, dim, None]  # (n, 1, d, 1)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        """The first d entries of B^{-1} rhs, rhs of shape (n, K, d + 1, 1)."""
+        z = inverse[:, None] @ rhs
+        return (z + inverse[:, None] @ (rhs - bordered[:, None] @ z))[..., :dim, :]
+
+    unit = np.zeros((n, 1, dim + 1, 1), dtype=complex)
+    unit[..., dim, :] = 1.0
+    r = solve(unit)  # (n, 1, d, 1)
     left = trace[:, None, None, :]  # (n, 1, 1, d)
     left_l1 = left @ l1
     lam1 = left_l1 @ r
-    x = inverse[:, None, :dim, :dim] @ (l1 @ r - lam1 * r)
-    lam2 = left @ l2 @ r - 2.0 * (left_l1 @ x)
+    drift = np.zeros(l1.shape[:2] + (dim + 1, 1), dtype=complex)
+    drift[..., :dim, :] = l1 @ r - lam1 * r
+    lam2 = left @ l2 @ r - 2.0 * (left_l1 @ solve(drift))
     cond = np.abs(bordered).sum(axis=1).max(axis=1) * np.abs(inverse).sum(axis=1).max(axis=1)
     flux, noise = flux_and_noise(lam1[..., 0, 0], lam2[..., 0, 0])
     return flux, noise, np.finfo(float).eps * cond
@@ -511,14 +495,14 @@ def _pseudo_inverse(model, selector: Selector, h: None) -> Rates:
     lambda'' = l L'' r - 2 l L' R L' r (Flindt et al., PRL 100, 150601
     (2008)), with l the trace, r the stationary state and R the
     pseudo-inverse of L(0) on the complement of its null space; L' and L''
-    are exact (4-point Fourier sampling).  One inverse of the bordered
-    matrix B = [[L(0), conj(l)], [l, 0]] serves both solves: r from
-    L(0) r = 0, l r = 1 (the last column), and x = R (L' r - lambda' r) from
+    are exact, from the model's field components.  One inverse of the
+    bordered matrix B = [[L(0), conj(l)], [l, 0]] serves both solves: r from
+    L(0) r = 0, l r = 1, and x = R (L' r - lambda' r) from
     L(0) x = L' r - lambda' r, l x = 0.  The reported ``stencil_error`` is a
-    forward-error estimate, the larger of the Nyquist share of the samples
-    and eps * cond_1(B), with cond_1(B) exact from the inverse.  (Numpy's
-    inverse rather than scipy's LU factor and condition estimate: the latter
-    load further LAPACK code and raise a sweep's peak memory by 1 MiB.)
+    forward-error estimate, eps * cond_1(B), with cond_1(B) exact from the
+    inverse.  (Numpy's inverse rather than scipy's LU factor and condition
+    estimate: the latter load further LAPACK code and raise a sweep's peak
+    memory by 1 MiB.)
     A model with structure the dense inverse ignores serves the route
     itself through ``pseudo_inverse_rates(selector)``, which returns
     (flux, noise, error estimate).  :func:`cumulants_many` stacks the same
@@ -527,29 +511,24 @@ def _pseudo_inverse(model, selector: Selector, h: None) -> Rates:
     if hasattr(model, "pseudo_inverse_rates"):
         flux, noise, err = model.pseudo_inverse_rates(selector)
     else:
-        flux, noise, err = (a[0, 0] for a in _dense_pseudo_inverse([model], (selector,)))
+        flux, noise, err = _dense_pseudo_inverse([model], (selector,))
+        flux, noise, err = flux[0, 0], noise[0, 0], err[0]
     return flux, noise, 0.0, err
 
 
 def _dense_pseudo_inverse(models, selectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """PseudoInverse flux, noise and error estimate of shape (n, K): every
-    selector for each dense model, from 1 + 3K generator samples per model
-    and one stacked bordered inverse.
+    """PseudoInverse flux and noise of shape (n, K) and the error estimate
+    of shape (n,): every selector for each static model, from one stacked
+    bordered inverse.
 
-    Models of one class that defines a ``stacked_liouvillian(models)`` hook
-    are sampled through it, one (n, d, d) stack per field sample; others
-    (a subclass may redefine its generator) model by model."""
-    cls = type(models[0])
-    if "stacked_liouvillian" in vars(cls) and all(type(m) is cls for m in models):
-        generators = cls.stacked_liouvillian(models)
-    else:
-        def generators(chi, xi):
-            return [m.dressed_liouvillian(chi, xi) for m in models]
-    samples = field_samples(models[0], selectors, generators).swapaxes(1, 2)  # (4, n, K, d, d)
-    d1, d2, share = _degree_one_derivatives(samples, (0, -2, -1))
+    The generators come from the models' exact field components, one
+    ``field_components`` call per run of consecutive models of one class."""
+    runs = [cls.field_components(list(run)) for cls, run in itertools.groupby(models, type)]
+    l0, plus, minus = (np.concatenate(part, axis=axis) for part, axis in zip(zip(*runs), (0, 1, 1)))
+    pairs = [selector_derivatives(models[0], s, plus, minus) for s in selectors]
+    l1, l2 = (np.stack(d, axis=1) for d in zip(*pairs))
     traces = np.array([m.trace_vector() for m in models])
-    flux, noise, cond_error = _pseudo_inverse_rates(samples[0, :, 0], traces, d1, d2)
-    return flux, noise, np.maximum(share, cond_error[:, None])
+    return _pseudo_inverse_rates(l0 + plus.sum(axis=0) + minus.sum(axis=0), traces, l1, l2)
 
 
 def cumulants_many(
@@ -562,9 +541,9 @@ def cumulants_many(
     refused it, as :func:`cumulants` gives them model by model.
 
     PseudoInverse without a step is stacked over the models that serve no
-    ``pseudo_inverse_rates`` hook: every model is sampled once at zero field
-    and three times per selector, and one stacked bordered inverse serves
-    all models and selectors.  When the stacked solve raises, every model is
+    ``pseudo_inverse_rates`` hook: their field components give every
+    selector's L' and L'', and one stacked bordered inverse serves all
+    models and selectors.  When the stacked solve raises, every model is
     redone alone, so only a failing one carries the error.  Other models
     and methods loop over :func:`cumulants`.
     """
@@ -576,7 +555,7 @@ def cumulants_many(
         except Exception:  # redone model by model below
             dense = []
         for n, i in enumerate(dense):
-            results[i] = [_report(s, method, flux[n, k], noise[n, k], 0.0, err[n, k])
+            results[i] = [_report(s, method, flux[n, k], noise[n, k], 0.0, err[n])
                           for k, s in enumerate(selectors)]
     for i, model in enumerate(models):
         if results[i] is None:
@@ -593,14 +572,13 @@ def _periodic(model, selector: Selector, h: None) -> Rates:
     The one-period propagator and its exact first two field derivatives come
     from one RK4 pass over the variational system; the model's
     ``harmonic_derivatives(selector)`` gives its harmonic orders, its time
-    harmonics and their exact field derivatives (4-point Fourier sampling,
-    once per selector).  The pass is repeated with ``2 * model.steps``
+    harmonics and their exact field derivatives.  The pass is repeated with ``2 * model.steps``
     steps: the finer estimate is returned, its relative change in
     (flux, noise) is the reported ``stencil_error``, and a propagator change
     beyond ``model.check_tol`` raises
     :class:`~photonstats.superop.StepConvergenceError`.
     """
-    orders, h0, d1, d2, _ = model.harmonic_derivatives(selector)
+    orders, h0, d1, d2 = model.harmonic_derivatives(selector)
     derivs = np.stack((h0, d1, d2))
     passes = []
     for steps in (model.steps, 2 * model.steps):

@@ -31,7 +31,6 @@ __all__ = [
     "JcParams",
     "JaynesCummingsModel",
     "jc_liouvillian",
-    "jc_liouvillian_stack",
     "jc_charpoly_analytic",
     "jc_flux_oracle",
     "jc_exact_cumulants",
@@ -80,7 +79,12 @@ def jc_liouvillian(
     chi: tuple[float, float] = (0.0, 0.0),
     xi: float = 0.0,
 ) -> np.ndarray:
-    """Dressed generator on the Pauli 4-vector (rho_0, rho_x, rho_y, rho_z)."""
+    """Dressed generator on the Pauli 4-vector (rho_0, rho_x, rho_y, rho_z).
+
+    The per-sample MGF path calls this scalar formula twice per sample;
+    a sweep reads the same generator from
+    :meth:`JaynesCummingsModel.field_components`.
+    """
     c1, c2 = -chi[0], -chi[1]
     x = -xi
 
@@ -109,46 +113,23 @@ def jc_liouvillian(
     )
 
 
-def jc_liouvillian_stack(params: Sequence[JcParams]):
-    """The dressed generators of n emitters, as a factory
-    fn(chi, xi) -> (n, 4, 4) that equals :func:`jc_liouvillian` row by row,
-    bit for bit.
+def _pattern(*entries) -> np.ndarray:
+    out = np.zeros((4, 4), dtype=complex)
+    for i, j, value in entries:
+        out[i, j] = value
+    return out
 
-    It serves a sweep chunk, whose generators it builds in one array
-    expression per field sample.  The one-sample formula stays scalar on
-    purpose: ``dynamical_mgf`` calls it twice per MGF sample (65,536 samples
-    for a 256 x 256 distribution), and at n = 1 a call of this factory's
-    function takes about five times as long as the scalar formula.
-    """
-    def column(name: str) -> np.ndarray:
-        return np.array([getattr(p, name) for p in params])
 
-    o1, o2, phi1, phi2 = (column(name) for name in ("omega1", "omega2", "phi1", "phi2"))
-    two_g, eps = 2.0 * column("gamma"), column("eps_delta")
-
-    def omega_xy(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        return (o1 * np.cos(phi1 + a) + o2 * np.cos(phi2 + b),
-                o1 * np.sin(phi1 + a) + o2 * np.sin(phi2 + b))
-
-    ox0, oy0 = omega_xy(0.0, 0.0)
-
-    def generators(chi, xi) -> np.ndarray:
-        ox, oy = omega_xy(-chi[0], -chi[1])
-        cxm, cxp, sxm, sxp = ox0 - ox, ox0 + ox, oy0 - oy, oy0 + oy
-        jump = np.exp(1j * -xi[0])
-        gm = two_g * (jump - 1.0)
-        gp = two_g * (jump + 1.0)
-        return np.array(
-            [
-                [gm, 1j * cxm, 1j * sxm, gm],
-                [1j * cxm, -two_g, -eps, sxp],
-                [1j * sxm, eps, -two_g, -cxp],
-                [-gp, -sxp, cxp, -gp],
-            ],
-            dtype=complex,
-        ).transpose(2, 0, 1)
-
-    return generators
+# jc_liouvillian is L = L0 + ox(chi) A + oy(chi) B + e^{-i xi} gamma G, with
+# (ox, oy)(chi) = sum_k Omega_k (cos, sin)(phi_k - chi_k); L0 is
+# ox(0) A0 + oy(0) B0 + gamma D + eps E
+_A = _pattern((0, 1, -1j), (1, 0, -1j), (2, 3, -1.0), (3, 2, 1.0))
+_B = _pattern((0, 2, -1j), (2, 0, -1j), (1, 3, 1.0), (3, 1, -1.0))
+_G = _pattern((0, 0, 2.0), (0, 3, 2.0), (3, 0, -2.0), (3, 3, -2.0))
+_A0 = _pattern((0, 1, 1j), (1, 0, 1j), (2, 3, -1.0), (3, 2, 1.0))
+_B0 = _pattern((0, 2, 1j), (2, 0, 1j), (1, 3, 1.0), (3, 1, -1.0))
+_D = _pattern(*((i, j, -2.0) for i, j in ((0, 0), (0, 3), (1, 1), (2, 2), (3, 0), (3, 3))))
+_E = _pattern((1, 2, -1.0), (2, 1, 1.0))
 
 
 def jc_charpoly_analytic(p: JcParams, chi: float, xi: float) -> CharPolyCoeffs:
@@ -322,9 +303,29 @@ class JaynesCummingsModel:
         self.params = params
 
     @staticmethod
-    def stacked_liouvillian(models: Sequence["JaynesCummingsModel"]):
-        """fn(chi, xi) -> (n, 4, 4): the dressed generators of ``models``."""
-        return jc_liouvillian_stack([m.params for m in models])
+    def field_components(models: Sequence["JaynesCummingsModel"]):
+        """The exact field components (l0, plus, minus) of the dressed
+        generators of ``models``: l0 of shape (n, 4, 4), and plus and minus
+        of shape (3, n, 4, 4) for the fields (chi_1, chi_2, xi).
+
+        Mode k contributes plus = c_k (A + iB) and minus = conj(c_k)(A - iB),
+        with c_k = Omega_k e^{-i phi_k} / 2; the bath contributes
+        minus = gamma G.
+        """
+        params = [m.params for m in models]
+        omega = np.array([(p.omega1, p.omega2) for p in params])
+        phi = np.array([(p.phi1, p.phi2) for p in params])
+        gamma = np.array([p.gamma for p in params])[:, None, None]
+        eps = np.array([p.eps_delta for p in params])[:, None, None]
+        ox0 = (omega * np.cos(phi)).sum(axis=1)[:, None, None]
+        oy0 = (omega * np.sin(phi)).sum(axis=1)[:, None, None]
+        c = (0.5 * omega * np.exp(-1j * phi)).T[..., None, None]  # (2, n, 1, 1)
+        plus = np.zeros((3, len(params), 4, 4), dtype=complex)
+        minus = np.zeros_like(plus)
+        plus[:2] = c * (_A + 1j * _B)
+        minus[:2] = np.conj(c) * (_A - 1j * _B)
+        minus[2] = gamma * _G
+        return ox0 * _A0 + oy0 * _B0 + gamma * _D + eps * _E, plus, minus
 
     def dressed_liouvillian(self, chi, xi) -> np.ndarray:
         chi = tuple(float(c) for c in chi)

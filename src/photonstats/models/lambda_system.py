@@ -35,7 +35,7 @@ import numpy as np
 
 from ..bessel import bessel_j
 from ..charpoly import DegenerateRootError
-from ..counting import field_derivatives, flux_and_noise
+from ..counting import _fields_for, flux_and_noise, selector_derivatives
 from ..superop import (
     BlockTridiagonalLU,
     StepConvergenceError,
@@ -143,6 +143,12 @@ def _signal_amplitudes(s1, s2, phase1, phase2, even):
     return np.where(even, 0.0, e2), np.where(even, e1 + e2, e1)
 
 
+def _dressed(theta: float, vb, vc):
+    """Bare couplings (v_b, v_c) in the pump-dressed basis of mixing angle theta."""
+    sin, cos = math.sin(0.5 * theta), math.cos(0.5 * theta)
+    return -sin * vb + cos * vc, cos * vb + sin * vc
+
+
 def effective_couplings(
     p: LambdaParams, chi: tuple[float, float] = (0.0, 0.0)
 ) -> EffectiveCouplings:
@@ -159,12 +165,9 @@ def effective_couplings(
     delta = 0.5 * j_split * (p.eps_b_delta - p.eps_c_delta)
     split = math.hypot(delta, p.omega_p0)
     theta = math.atan2(p.omega_p0, delta)
-    vb, vc = _signal_amplitudes(
+    omega_b, omega_c = _dressed(theta, *_signal_amplitudes(
         p.omega_s * j0, p.omega_s * jr, p.phi1 + chi[0], p.phi2 + chi[1], p.r % 2 == 0
-    )
-    half = 0.5 * theta
-    omega_b = -math.sin(half) * vb + math.cos(half) * vc
-    omega_c = math.cos(half) * vb + math.sin(half) * vc
+    ))
     return EffectiveCouplings(
         omega_b=complex(omega_b),
         omega_c=complex(omega_c),
@@ -174,69 +177,68 @@ def effective_couplings(
     )
 
 
-@functools.lru_cache(maxsize=16)
-def _decay(xi: float) -> np.ndarray:
-    """Decay of |b> and |c> into |a> at unit rate under the bath field xi,
-    read-only.
-
-    Times the rate 2 gamma it equals the two channels' dissipators at that
-    rate bit for bit: an entry comes from one channel, or is 0.5 or 1 times
-    the rate.
-    """
-    out = np.zeros((9, 9), dtype=complex)
-    for upper in (_B, _C):
-        c = np.zeros((3, 3), dtype=complex)
-        c[_A, upper] = 1.0
-        out += dissipator_superop(c, xi=xi)
-    out.setflags(write=False)
-    return out
+def _op(i: int, j: int) -> np.ndarray:
+    """|i><j| on the three levels."""
+    return np.outer(np.eye(3)[i], np.eye(3)[j]).astype(complex)
 
 
-def _rwa_terms(params: Sequence[LambdaParams]):
-    """The RWA generators of n parameter sets, as a factory
-    fn(chi, xi) -> (L0, L1) of two stacks (n, 9, 9).
+# the decay of |b> and |c> into |a> at unit rate: its jumps |b><b|, |c><c|
+# -> |a><a|, which the bath field xi dresses by e^{-i xi}, and the rest
+_JUMP = np.zeros((9, 9), dtype=complex)
+_JUMP[0, _TRACE[1:]] = 1.0
+_NO_JUMP = sum(dissipator_superop(_op(_A, upper)) for upper in (_B, _C)) - _JUMP
 
-    L0 is the signal-free generator: the static Hamiltonian (its b/c
-    splitting renormalized by J_0(Omega_p1 / omega_d)) and the decay under
-    the bath field xi.  L1 collects everything linear in Omega_s: the signal
-    Hamiltonian with dressed phases phi_k + chi_k on the left and the
-    zero-field one on the right.  The field-free parts are built once per
-    factory.
+
+def _evaluate(l0, plus, minus, angles) -> np.ndarray:
+    """l0 + sum_f (e^{i theta_f} plus[f] + e^{-i theta_f} minus[f]) at the
+    field angles theta."""
+    phase = np.exp(1j * np.array(angles, dtype=float)).reshape((-1,) + (1,) * (plus.ndim - 1))
+    return l0 + (phase * plus).sum(axis=0) + (np.conj(phase) * minus).sum(axis=0)
+
+
+def _rwa_components(params: Sequence[LambdaParams]):
+    """The RWA generators of n parameter sets as exact field components
+    (static, signal, plus, minus): static and signal of shape (n, 9, 9),
+    plus and minus of shape (3, n, 9, 9) for the fields (chi_1, chi_2, xi).
+
+    ``static`` is the signal-free generator less the decay's jumps: the
+    static Hamiltonian (its b/c splitting renormalized by
+    J_0(Omega_p1 / omega_d)) and the rest of the decay; the jumps are the xi
+    component.  Everything linear in Omega_s is ``signal``, the zero-field
+    signal Hamiltonian on the right, and the chi components: on the left,
+    mode k's raising half v_k e^{i(phi_k + chi_k)} and its conjugate.
     """
     n = len(params)
-
-    def column(values) -> np.ndarray:
-        return np.array(list(values))
-
-    bessel = column(_bessel_factors(p) for p in params)
-    omega_s = column(p.omega_s for p in params)
+    bessel = np.array([_bessel_factors(p) for p in params])
+    omega_s, eps_a, eps_b, eps_c, omega_p0, phi1, phi2, gamma, r = (
+        np.array([getattr(p, name) for p in params]) for name in (
+            "omega_s", "eps_a", "eps_b_delta", "eps_c_delta", "omega_p0", "phi1", "phi2",
+            "gamma", "r",
+        )
+    )
     s1, s2 = omega_s * bessel[:, 1], omega_s * bessel[:, 2]
-    phi1, phi2 = column(p.phi1 for p in params), column(p.phi2 for p in params)
-    even = column(p.r % 2 == 0 for p in params)
-    eps_b, eps_c = column(p.eps_b_delta for p in params), column(p.eps_c_delta for p in params)
     ave = 0.5 * (eps_b + eps_c)
     delta = 0.5 * bessel[:, 0] * (eps_b - eps_c)
     h0 = np.zeros((n, 3, 3), dtype=complex)
-    h0[:, _A, _A] = column(p.eps_a for p in params)
+    h0[:, _A, _A] = eps_a
     h0[:, _B, _B] = ave + delta
     h0[:, _C, _C] = ave - delta
-    h0[:, _B, _C] = h0[:, _C, _B] = column(p.omega_p0 for p in params)
-    h_static = hamiltonian_superop(h0, h0)
-    rate = column(2.0 * p.gamma for p in params)[:, None, None]
-
-    def h_signal(chi) -> np.ndarray:
-        vb, vc = _signal_amplitudes(s1, s2, phi1 + chi[0], phi2 + chi[1], even)
-        h = np.zeros((n, 3, 3), dtype=complex)
-        h[:, _B, _A] = vb
-        h[:, _C, _A] = vc
-        h[:, _A, _B] = np.conj(vb)
-        h[:, _A, _C] = np.conj(vc)
-        return h
-
-    h_signal_0 = h_signal((0.0, 0.0))
-    return lambda chi, xi: (
-        h_static + rate * _decay(xi), hamiltonian_superop(h_signal(chi), h_signal_0)
-    )
+    h0[:, _B, _C] = h0[:, _C, _B] = omega_p0
+    rate = 2.0 * gamma[:, None, None]
+    raising = np.zeros((2, n, 3, 3), dtype=complex)
+    for k, amplitudes in enumerate(((s1, 0.0 * s2), (0.0 * s1, s2))):
+        raising[k, :, _B, _A], raising[k, :, _C, _A] = _signal_amplitudes(
+            *amplitudes, phi1, phi2, r % 2 == 0
+        )
+    lowering = np.conj(raising).swapaxes(-1, -2)
+    zero = np.zeros_like(h0)
+    plus = np.zeros((3, n, 9, 9), dtype=complex)
+    minus = np.zeros_like(plus)
+    plus[:2] = hamiltonian_superop(raising, zero)
+    minus[:2] = hamiltonian_superop(lowering, zero)
+    minus[2] = rate * _JUMP
+    signal = hamiltonian_superop(zero, (raising + lowering).sum(axis=0))
+    return hamiltonian_superop(h0, h0) + rate * _NO_JUMP, signal, plus, minus
 
 
 def _fields(chi, xi) -> tuple[tuple[float, float], tuple[float]]:
@@ -248,12 +250,8 @@ def _fields(chi, xi) -> tuple[tuple[float, float], tuple[float]]:
 
 
 class LambdaModel:
-    """Counting-engine adapter for the RWA effective generator (9x9).
-
-    Every generator comes from one stacked formula (``_rwa_terms``); a
-    single model is its one-row case, and ``stacked_liouvillian`` builds a
-    whole sweep chunk's generators at once.
-    """
+    """Counting-engine adapter for the RWA effective generator (9x9), a sum
+    of the exact field components of one stacked formula."""
 
     n_modes = 2
     n_baths = 1
@@ -262,33 +260,39 @@ class LambdaModel:
         self.params = params
 
     @staticmethod
-    def stacked_liouvillian(models: Sequence["LambdaModel"]):
-        """fn(chi, xi) -> (n, 9, 9): the dressed generators of ``models``."""
-        terms = _rwa_terms([m.params for m in models])
+    def field_components(models: Sequence["LambdaModel"]):
+        """The exact field components (l0, plus, minus) of the dressed
+        generators of ``models``: l0 of shape (n, 9, 9), and plus and minus
+        of shape (3, n, 9, 9) for the fields (chi_1, chi_2, xi)."""
+        static, signal, plus, minus = _rwa_components([m.params for m in models])
+        return static + signal, plus, minus
 
-        def generators(chi, xi) -> np.ndarray:
-            l0, l1 = terms(chi, xi[0])
-            return l0 + l1
-
-        return generators
-
-    def tagged_terms(
-        self, chi: tuple[float, float], xi: float
-    ) -> list[tuple[int, np.ndarray]]:
+    def tagged_terms(self, chi: tuple[float, float], xi: float) -> list[tuple[int, np.ndarray]]:
         """Liouvillian as (perturbative order, matrix) terms.
 
-        Order 0 is the signal-free generator; order 1 collects everything
-        linear in the signal amplitude Omega_s.
+        Order 0 is the signal-free generator: the static part and the decay's
+        jumps under xi.  Order 1 collects everything linear in the signal
+        amplitude Omega_s: the signal part and the chi components.
         """
-        l0, l1 = _rwa_terms([self.params])(chi, xi)
-        return [(0, l0[0]), (1, l1[0])]
+        static, signal, plus, minus = self._components
+        return [
+            (0, _evaluate(static, plus[2:], minus[2:], (xi,))[0]),
+            (1, _evaluate(signal, plus[:2], minus[:2], chi)[0]),
+        ]
 
     def dressed_liouvillian(self, chi, xi) -> np.ndarray:
-        return self.stacked_liouvillian([self])(*_fields(chi, xi))[0]
+        chi, xi = _fields(chi, xi)
+        static, signal, plus, minus = self._components
+        return _evaluate(static + signal, plus, minus, chi + xi)[0]
+
+    @functools.cached_property
+    def _components(self):
+        """This model's row of :func:`_rwa_components`, built once."""
+        return _rwa_components([self.params])
 
     def trace_vector(self) -> np.ndarray:
         t = np.zeros(9, dtype=complex)
-        t[[0, 4, 8]] = 1.0
+        t[_TRACE] = 1.0
         return t
 
     def stationary_vector(self) -> np.ndarray:
@@ -298,19 +302,69 @@ class LambdaModel:
         return v
 
     def oracle_rates(self, selector) -> tuple[float, float, float]:
-        """AnalyticOracle: exact field derivatives of :func:`lambda_lambda0_pt2`.
+        """AnalyticOracle: the exact field derivatives of
+        :func:`lambda_lambda0_pt2`, with a zero error estimate.
 
-        The closed form is of trigonometric degree 1 in each field, so four
-        samples determine its derivatives; the error estimate is their
-        Nyquist share.
+        Along the selector each dressed coupling is
+        a_alpha + b_alpha (e^{ix} - 1), with a_alpha its zero-field value and
+        b_alpha the part of it that the counted modes carry.  So
+        flux = -2 sum_alpha Re[a_alpha conj(b_alpha) / (gamma + i eps_alpha)]
+        and noise = 2 gamma sum_alpha |b_alpha|^2 / (gamma^2 + eps_alpha^2),
+        with eps_alpha the dressed energies measured from the a level.
         """
         if selector == "bath":
             raise ValueError("the closed-form slow eigenvalue counts drive photons only")
+        p = self.params
+        _require_resonant_pump(p)
+        weights = _fields_for(self, selector, 1.0).chi
+        couplings = effective_couplings(p)
+        _, j0, jr = _bessel_factors(p)
+        counted = _dressed(couplings.theta, *_signal_amplitudes(
+            weights[0] * p.omega_s * j0, weights[1] * p.omega_s * jr,
+            p.phi1, p.phi2, p.r % 2 == 0,
+        ))
+        g, flux, noise = p.gamma, 0.0, 0.0
+        for a, b, eps in zip(
+            (couplings.omega_b, couplings.omega_c), counted,
+            (couplings.eps_tilde_b - p.eps_a, couplings.eps_tilde_c - p.eps_a),
+        ):
+            flux -= 2.0 * (a * np.conj(b) / (g + 1j * eps)).real
+            noise += 2.0 * g * abs(b) ** 2 / (g * g + eps * eps)
+        return flux, noise, 0.0
 
-        _, d1, d2, share = field_derivatives(
-            self, selector, lambda chi, xi: lambda_lambda0_pt2(self.params, chi)
-        )
-        return (*flux_and_noise(d1, d2), share)
+
+def _harmonic_components(p: LambdaParams, orders: np.ndarray):
+    """The time harmonics' exact field components (l0, plus, minus): l0 of
+    shape (H, 9, 9), and plus and minus of shape (3, H, 9, 9) for the fields
+    (chi_1, chi_2, xi), one row per harmonic order.
+
+    The static harmonic holds the levels, the dc pump, mode 1 and the
+    decay; the pump modulation sits at +-1 and the co-/counter-rotating
+    halves of mode 2 at -/+ r.
+    """
+    pump, lower, raise_ = _op(_B, _C) + _op(_C, _B), _op(_C, _A), _op(_A, _C)
+    zero = np.zeros((3, 3), dtype=complex)
+    h_static = np.diag(np.array([p.eps_a, p.eps_b_delta, p.eps_c_delta], dtype=complex))
+    h_static += p.omega_p0 * pump
+    amp1 = p.omega_s * np.exp(1j * p.phi1)
+    amp2 = p.omega_s * np.exp(1j * p.phi2)
+    half_cos = hamiltonian_superop(0.25 * p.omega_p1 * pump, 0.25 * p.omega_p1 * pump)
+    parts = np.zeros((7, orders.size, 9, 9), dtype=complex)  # l0, plus[0:3], minus[0:3]
+    for slot, order, mat in (
+        (0, 0, hamiltonian_superop(h_static, h_static + amp1 * lower + np.conj(amp1) * raise_)
+         + 2.0 * p.gamma * _NO_JUMP),
+        (1, 0, hamiltonian_superop(amp1 * lower, zero)),
+        (4, 0, hamiltonian_superop(np.conj(amp1) * raise_, zero)),
+        (6, 0, 2.0 * p.gamma * _JUMP),
+        (0, 1, half_cos),
+        (0, -1, half_cos),
+        (0, -p.r, hamiltonian_superop(zero, amp2 * lower)),
+        (2, -p.r, hamiltonian_superop(amp2 * lower, zero)),
+        (0, p.r, hamiltonian_superop(zero, np.conj(amp2) * raise_)),
+        (5, p.r, hamiltonian_superop(np.conj(amp2) * raise_, zero)),
+    ):
+        parts[slot, np.searchsorted(orders, order)] += mat
+    return parts[0], parts[1:4], parts[4:]
 
 
 def _harmonic_cutoff(p: LambdaParams) -> int:
@@ -480,9 +534,9 @@ class LambdaPeriodicModel:
         self.cutoff = _harmonic_cutoff(params)
         # sorted() rather than np.unique, which imports numpy.ma on first use
         self.orders = np.array(sorted({0, 1, -1, -params.r, params.r}))
+        self._components = _harmonic_components(params, self.orders)
         self._truncation = None
         self._shifted: dict[int, _ShiftedSambe] = {}
-        self._derivatives: dict = {}
 
     @property
     def period(self) -> float:
@@ -492,49 +546,11 @@ class LambdaPeriodicModel:
         """Time harmonics of the dressed generator.
 
         Returns integer ``orders`` and a matching stack of 9x9 matrices such
-        that L(t) = sum_n exp(i orders[n] omega_d t) matrices[n].  The
-        harmonics are the static part, the pump modulation at +-omega_d and
-        the co-/counter-rotating halves of mode 2 at -/+ r omega_d.
+        that L(t) = sum_n exp(i orders[n] omega_d t) matrices[n]: the sum of
+        the harmonics' field components at (chi, xi).
         """
         chi, xi = _fields(chi, xi)
-        p = self.params
-        h_levels = np.diag(
-            np.array([p.eps_a, p.eps_b_delta, p.eps_c_delta], dtype=complex)
-        )
-        pump = np.zeros((3, 3), dtype=complex)
-        pump[_B, _C] = pump[_C, _B] = 1.0
-        lower = np.zeros((3, 3), dtype=complex)
-        lower[_C, _A] = 1.0
-        raise_ = lower.T
-
-        def mode1(phase: float) -> np.ndarray:
-            amp = p.omega_s * np.exp(1j * phase)
-            return amp * lower + np.conj(amp) * raise_
-
-        h_static = h_levels + p.omega_p0 * pump
-        l_const = hamiltonian_superop(
-            h_static + mode1(p.phi1 + chi[0]), h_static + mode1(p.phi1)
-        ) + 2.0 * p.gamma * _decay(xi[0])
-        half_cos = hamiltonian_superop(
-            0.25 * p.omega_p1 * pump, 0.25 * p.omega_p1 * pump
-        )
-        # mode-2 coupling splits into co-/counter-rotating halves
-        amp2 = p.omega_s * np.exp(1j * (p.phi2 + chi[1]))
-        amp2_0 = p.omega_s * np.exp(1j * p.phi2)
-        terms = (
-            (0, l_const),
-            (1, half_cos),
-            (-1, half_cos),
-            (-p.r, hamiltonian_superop(amp2 * lower, amp2_0 * lower)),
-            (
-                p.r,
-                hamiltonian_superop(np.conj(amp2) * raise_, np.conj(amp2_0) * raise_),
-            ),
-        )
-        mats = np.zeros((self.orders.size, 9, 9), dtype=complex)
-        for n, m in terms:
-            mats[np.searchsorted(self.orders, n)] += m
-        return self.orders, mats
+        return self.orders, _evaluate(*self._components, chi + xi)
 
     def liouvillian_of_t(self, chi, xi):
         """Periodic callback t -> L(t), for time-domain references."""
@@ -557,18 +573,15 @@ class LambdaPeriodicModel:
 
     def harmonic_derivatives(self, selector):
         """PeriodicNumeric hook: the harmonic ``orders``, the harmonics at
-        zero field, their exact field derivatives along ``selector`` and the
-        Nyquist share, sampled once per selector and shared with the Sambe
-        route and its cutoff check."""
-        if selector not in self._derivatives:
-            self._derivatives[selector] = field_derivatives(
-                self, selector, lambda chi, xi: self.time_harmonics(chi, xi)[1]
-            )
-        return (self.orders, *self._derivatives[selector])
+        zero field and their exact first two field derivatives along
+        ``selector``, read from the harmonics' field components."""
+        l0, plus, minus = self._components
+        return (self.orders, _evaluate(l0, plus, minus, (0.0, 0.0, 0.0)),
+                *selector_derivatives(self, selector, plus, minus))
 
     def _shifted_sambe(self, cutoff: int) -> _ShiftedSambe:
         """The factored shifted generator at ``cutoff``, built once per cutoff
-        from the zero-field harmonics of the mode-1 samples."""
+        from the zero-field harmonics."""
         if cutoff not in self._shifted:
             orders, l0 = self.harmonic_derivatives(1)[:2]
             self._shifted[cutoff] = _ShiftedSambe(orders, l0, cutoff, self.params.omega_d)
@@ -579,16 +592,16 @@ class LambdaPeriodicModel:
 
         The route reuses the factorization of the cutoff check at
         ``cutoff``; F' and F'' act as banded products of the harmonics'
-        field derivatives.  The error estimate is the largest of the
-        Nyquist share, eps times the 1-norm condition estimate of the
-        shifted generator and the relative residual of the solves (the
-        block LU does not pivot across blocks).
+        field derivatives.  The error estimate is the larger of eps times
+        the 1-norm condition estimate of the shifted generator and the
+        relative residual of the solves (the block LU does not pivot across
+        blocks).
         """
         self._check_cutoff()
-        _, _, d1, d2, share = self.harmonic_derivatives(selector)
+        _, _, d1, d2 = self.harmonic_derivatives(selector)
         shifted = self._shifted_sambe(self.cutoff)
         [(flux, noise)], residual = shifted.rates([(d1, d2)])
-        return flux, noise, max(share, shifted.cond_error, residual)
+        return flux, noise, max(shifted.cond_error, residual)
 
     @property
     def truncation_change(self) -> float:
@@ -615,6 +628,14 @@ class LambdaPeriodicModel:
         return v.reshape(-1)
 
 
+def _require_resonant_pump(p: LambdaParams) -> None:
+    if not p.pump_resonant:
+        raise ValueError(
+            "closed-form slow eigenvalue requires the resonant pump "
+            "eps_c - eps_b = omega_p; use the numeric route instead"
+        )
+
+
 def lambda_lambda0_pt2(p: LambdaParams, chi: tuple[float, float]) -> complex:
     """Second-order slow eigenvalue of the RWA generator, in closed form.
 
@@ -628,11 +649,7 @@ def lambda_lambda0_pt2(p: LambdaParams, chi: tuple[float, float]) -> complex:
     which decay at exactly gamma.  Requires the resonant pump
     eps_c - eps_b = omega_p.
     """
-    if not p.pump_resonant:
-        raise ValueError(
-            "closed-form slow eigenvalue requires the resonant pump "
-            "eps_c - eps_b = omega_p; use the numeric route instead"
-        )
+    _require_resonant_pump(p)
     at_chi = effective_couplings(p, chi)
     at_zero = effective_couplings(p, (0.0, 0.0))
     g = p.gamma

@@ -347,6 +347,9 @@ INVALID = [
      ["distribution.time: must be nonnegative"]),
     ("alphas-negative", JC + "distribution:\n  law: poisson\n  alphas: [-3.0]\n",
      ["distribution.alphas: must be nonnegative"]),
+    ("nbar-negative",
+     JC + "distribution:\n  law: gaussian\n  nbar: [-100.0]\n  sigma2: [100.0]\n",
+     ["distribution.nbar: must be nonnegative"]),
     ("sigma2-negative", JC + "distribution:\n  law: gaussian\n  sigma2: [-4.0]\n",
      ["distribution.sigma2: must be nonnegative"]),
     ("sigma2-negative-two-modes",

@@ -197,6 +197,47 @@ class TestCumulants:
             assert rep.noise >= -1e-10
 
 
+class TestFieldComponents:
+    """Each generator is of trigonometric degree 1 in every counting field,
+    with no cross terms: its field components are its only Fourier bins."""
+
+    @staticmethod
+    def fourier_bins(fn) -> tuple[np.ndarray, float]:
+        """The 4 x 4 x 4 Fourier coefficients of fn over (chi_1, chi_2, xi),
+        bin k the coefficient of e^{i k theta}, and the largest sample."""
+        angles = 2.0 * math.pi * np.arange(4) / 4
+        samples = np.array(
+            [[[fn((a, b), (x,)) for x in angles] for b in angles] for a in angles]
+        )
+        return np.fft.fftn(samples, axes=(0, 1, 2)) / 64.0, float(np.abs(samples).max())
+
+    @pytest.mark.parametrize("name", ["jc", "lambda", "harmonics"])
+    def test_components_are_the_only_fourier_bins(self, name):
+        if name == "harmonics":
+            periodic = lambda_system.LambdaPeriodicModel(
+                lambda_system.LambdaParams(r=2, phi1=0.3, phi2=-0.8).with_detuning(0.6)
+            )
+            bins, scale = self.fourier_bins(lambda c, x: periodic.time_harmonics(c, x)[1])
+            l0, plus, minus = periodic._components
+        else:
+            static = (
+                model(eps_delta=0.3, omega2=0.7, phi1=0.2, phi2=1.1, gamma=0.05)
+                if name == "jc"
+                else lambda_system.LambdaModel(lambda_system.LambdaParams(phi1=0.3, phi2=-0.8))
+            )
+            bins, scale = self.fourier_bins(static.dressed_liouvillian)
+            components = type(static).field_components([static])
+            l0, plus, minus = (a[..., 0, :, :] for a in components)
+        expected = np.zeros_like(bins)
+        expected[0, 0, 0] = l0
+        for f in range(3):
+            for sign, component in ((1, plus), (-1, minus)):
+                expected[tuple(sign * (np.arange(3) == f))] = component[f]
+        nonzero = np.abs(expected).max(axis=tuple(range(3, expected.ndim))) > 0.0
+        assert np.count_nonzero(nonzero) == 6
+        assert np.abs(bins - expected).max() <= 1e-13 * scale
+
+
 class TestConservation:
     def test_drive_balances_bath(self):
         m = model(eps_delta=0.1, omega2=1.0, phi2=0.9, gamma=0.01)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -99,8 +100,8 @@ class TestGenerator:
 
 
 def _reference_terms(p, chi, xi):
-    """(L0, L1) of one parameter set, assembled term by term in the order
-    of the package's arithmetic, so that the results agree bit for bit."""
+    """(L0, L1) of one parameter set, assembled term by term from the
+    Hamiltonians and dissipators."""
     j_split, j0, jr = _bessel_factors(p)
     ave = 0.5 * (p.eps_b_delta + p.eps_c_delta)
     delta = 0.5 * j_split * (p.eps_b_delta - p.eps_c_delta)
@@ -140,8 +141,8 @@ def _random_fields(rng):
 
 
 class TestFieldFreeParts:
-    """The one generator formula: the stacked one, of which a single model
-    is the one-row case."""
+    """The one generator formula: the stacked field components, of which a
+    single model is the one-row case."""
 
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_generator_matches_a_fresh_build(self, r):
@@ -150,10 +151,11 @@ class TestFieldFreeParts:
             model = LambdaModel(p)
             for chi, xi in _random_fields(rng):
                 l0, l1 = _reference_terms(p, chi, xi)
-                assert np.array_equal(model.dressed_liouvillian(chi, (xi,)), l0 + l1)
+                bound = 1e-15 * np.abs(l0 + l1).max()
+                assert np.abs(model.dressed_liouvillian(chi, (xi,)) - (l0 + l1)).max() <= bound
                 (o0, t0), (o1, t1) = model.tagged_terms(chi, xi)
                 assert (o0, o1) == (0, 1)
-                assert np.array_equal(t0, l0) and np.array_equal(t1, l1)
+                assert np.abs(t0 - l0).max() <= bound and np.abs(t1 - l1).max() <= bound
 
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_stacked_generators_equal_the_single_model_ones(self, r):
@@ -162,10 +164,11 @@ class TestFieldFreeParts:
         params = [_random_params(rng, r) for _ in range(6)]
         params += [_random_params(rng, other) for other in (0, 1, 2) if other != r]
         models = [LambdaModel(p) for p in params]
-        generators = LambdaModel.stacked_liouvillian(models)
+        l0, plus, minus = LambdaModel.field_components(models)
+        assert l0.shape == (len(models), 9, 9) and plus.shape == minus.shape == (3,) + l0.shape
         for chi, xi in _random_fields(rng):
-            stack = generators(chi, (xi,))
-            assert stack.shape == (len(models), 9, 9)
+            phase = np.exp(1j * np.array(chi + (xi,)))[:, None, None, None]
+            stack = l0 + (phase * plus).sum(axis=0) + (np.conj(phase) * minus).sum(axis=0)
             for model, generator in zip(models, stack):
                 assert np.array_equal(generator, model.dressed_liouvillian(chi, (xi,)))
 
@@ -209,6 +212,53 @@ class TestClosedFormEigenvalue:
         part = SubspacePartition(slow=(0,), fast=tuple(range(1, 9)))
         eff = adiabatic_eliminate(terms, part, order=2)
         assert abs(complex(eff[0, 0]) - lambda_lambda0_pt2(BASE, chi)) < 1e-10
+
+
+def _mp_slow_eigenvalue(p, weights, x):
+    """:func:`lambda_lambda0_pt2` at chi = x * weights in mpmath, fed by the
+    double-precision sideband factors, mixing angle and dressed energies."""
+    _, j0, jr = _bessel_factors(p)
+    c = effective_couplings(p)
+    half = mp.mpf(c.theta) / 2
+
+    def dressed(chi):
+        e1 = mp.mpf(p.omega_s * j0) * mp.expj(mp.mpf(p.phi1) + chi[0])
+        e2 = mp.mpf(p.omega_s * jr) * mp.expj(mp.mpf(p.phi2) + chi[1])
+        vb, vc = (0, e1 + e2) if p.r % 2 == 0 else (e2, e1)
+        return (-mp.sin(half) * vb + mp.cos(half) * vc, mp.cos(half) * vb + mp.sin(half) * vc)
+
+    g = mp.mpf(p.gamma)
+    energies = (mp.mpf(c.eps_tilde_b) - p.eps_a, mp.mpf(c.eps_tilde_c) - p.eps_a)
+    total = mp.mpc(0)
+    for o, o0, eps in zip(dressed([x * w for w in weights]), dressed([0, 0]), energies):
+        total += o * (mp.conj(o0) - mp.conj(o)) / (1j * eps + g)
+        total += mp.conj(o0) * (o - o0) / (-1j * eps + g)
+    return total
+
+
+class TestClosedFormOracle:
+    @pytest.mark.parametrize("params, selector", [
+        # the sampled oracle was off by 2.6e-10 (flux) and 3.1e-9 (noise) here
+        (LambdaParams(r=3, omega_1=26.94, omega_p1=0.99, gamma=0.65, phi1=-0.32, phi2=1.07), 2),
+        (BASE, 1),
+        (LambdaParams(r=2, phi1=0.4, phi2=-1.3).with_detuning(-0.7), "drive"),
+    ])
+    def test_matches_an_extended_precision_derivative(self, params, selector):
+        weights = {1: (1, 0), 2: (0, 1), "drive": (1, 1)}[selector]
+        with mp.workdps(80):
+            h = mp.mpf("1e-25")
+            lam = [_mp_slow_eigenvalue(params, weights, x) for x in (-h, 0, h)]
+            d1 = (lam[2] - lam[0]) / (2 * h)
+            d2 = (lam[2] - 2 * lam[1] + lam[0]) / h**2
+            flux, noise = float(mp.re(1j * d1)), float(-mp.re(d2))
+        rep = cumulants(LambdaModel(params), selector, method=Method.ANALYTIC_ORACLE)
+        assert abs(rep.flux - flux) <= 1e-13 * abs(flux)
+        assert abs(rep.noise - noise) <= 1e-13 * abs(noise)
+        assert rep.stencil_error == 0.0
+
+    def test_bath_is_refused(self):
+        with pytest.raises(ValueError, match="drive photons only"):
+            cumulants(LambdaModel(BASE), "bath", method=Method.ANALYTIC_ORACLE)
 
 
 class TestConservationAndCdt:

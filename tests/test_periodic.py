@@ -11,7 +11,7 @@ import scipy.linalg as la
 from click.testing import CliRunner
 
 from photonstats import cli, counting, superop
-from photonstats.charpoly import DegenerateRootError
+from photonstats.charpoly import DegenerateRootError, fourier_derivatives
 from photonstats.cli import main
 from photonstats.config import ScenarioError, parse_scenario
 from photonstats.counting import (
@@ -20,7 +20,6 @@ from photonstats.counting import (
     _pseudo_inverse_rates,
     cumulants,
     dynamical_mgf,
-    field_derivatives,
 )
 from photonstats.models import lambda_system
 from photonstats.models.lambda_system import (
@@ -114,16 +113,6 @@ def test_static_model_has_no_periodic_route():
         cumulants(LambdaModel(LambdaParams()), 2, method=Method.PERIODIC_NUMERIC)
 
 
-def test_harmonics_beyond_degree_one_in_the_field_are_refused():
-    class DoubleCharge(LambdaPeriodicModel):
-        def time_harmonics(self, chi, xi):
-            orders, mats = super().time_harmonics(chi, xi)
-            return orders, mats * np.exp(2j * chi[1])
-
-    with pytest.raises(ValueError, match="degree 1"):
-        cumulants(DoubleCharge(LambdaParams()), 2, method=Method.PERIODIC_NUMERIC)
-
-
 def test_scenario_rejects_stencil_step_for_periodic_numeric():
     step = "numerics:\n  h: 0.001\n"
     for method, _ in STEP_FREE_ROUTES:
@@ -158,6 +147,17 @@ def test_time_harmonics_reproduce_callback():
         assert np.allclose(l_of_t(t), direct, atol=1e-13)
 
 
+def sampled_derivatives(model, selector, fn):
+    """fn(chi, xi) at zero field and its first two derivatives along
+    ``selector``, from four field samples over one period: exact for a
+    function of trigonometric degree 1, and independent of the model's
+    field components."""
+    fields = [counting._fields_for(model, selector, math.pi * j / 2) for j in range(4)]
+    samples = [fn(f.chi, f.xi) for f in fields]
+    _, _, d1, d2 = fourier_derivatives(samples)
+    return samples[0], d1, d2
+
+
 def sambe_propagator(model, chi, xi, t):
     """U(t) = sum_m' [exp(F t)]_{0, m'} from the model's Sambe generator F."""
     n = 2 * model.cutoff + 1
@@ -175,7 +175,7 @@ def test_variational_propagator_matches_finite_differences():
 
     orders, _ = model.time_harmonics((0.0, 0.0), (0.0,))
     derivs = np.stack(
-        field_derivatives(model, 2, lambda chi, xi: model.time_harmonics(chi, xi)[1])[:3]
+        sampled_derivatives(model, 2, lambda chi, xi: model.time_harmonics(chi, xi)[1])
     )
     u, du, d2u = variational_monodromy(orders, derivs, model.period, 512)
     d = 1e-3
@@ -247,7 +247,7 @@ def test_truncation_check_matches_the_route_at_both_cutoffs(r, omega_delta):
 
 def dense_bordered_rates(model, selector):
     """(flux, noise) and eps * cond_1(B) from the dense bordered inverse of the Sambe generator."""
-    l0, l1, l2, _ = field_derivatives(model, selector, model.dressed_liouvillian)
+    l0, l1, l2 = sampled_derivatives(model, selector, model.dressed_liouvillian)
     flux, noise, cond_error = _pseudo_inverse_rates(
         l0[None], model.trace_vector()[None], l1[None, None], l2[None, None]
     )
@@ -308,43 +308,46 @@ def test_fig4_point_factors_once_per_cutoff(monkeypatch):
     assert shapes == [(-(-(2 * m + 1) // 2), 18, 18) for m in (cutoff, cutoff + 4)]
 
 
+def count_component_builds(monkeypatch) -> list:
+    """Record each build of the harmonics' field components; refuse any
+    call of ``time_harmonics``."""
+    builds = []
+    original = lambda_system._harmonic_components
+
+    def counted(params, orders):
+        builds.append(params)
+        return original(params, orders)
+
+    def refuse(self, chi, xi):
+        raise AssertionError("the route called time_harmonics")
+
+    monkeypatch.setattr(lambda_system, "_harmonic_components", counted)
+    monkeypatch.setattr(LambdaPeriodicModel, "time_harmonics", refuse)
+    return builds
+
+
 @pytest.mark.parametrize("r", [0, 1, 2])
-def test_fig4_point_samples_the_harmonics_once_per_mode(monkeypatch, r):
-    # four field samples for each drive mode; the cutoff check, both
-    # factorizations and the route share them
-    calls = []
-    original = LambdaPeriodicModel.time_harmonics
-
-    def counted(self, chi, xi):
-        calls.append((chi, xi))
-        return original(self, chi, xi)
-
-    monkeypatch.setattr(LambdaPeriodicModel, "time_harmonics", counted)
+def test_fig4_point_builds_the_harmonic_components_once(monkeypatch, r):
+    # the cutoff check, both factorizations and the route read one build
+    builds = count_component_builds(monkeypatch)
     params = LambdaParams(r=r).with_detuning(2.0)
     scenario = replace(parse_scenario("model:\n  kind: lambda\n"), model_params=params)
     assert cli._fig4_point(scenario)[6] == ""
-    assert len(calls) == 8
+    assert builds == [params]
 
 
-def test_periodic_numeric_reads_the_cached_harmonic_samples(monkeypatch):
-    # two PeriodicNumeric reports take four field samples per mode and no
-    # further build of the harmonics, with the numbers of a fresh model
-    calls = []
-    original = LambdaPeriodicModel.time_harmonics
-
-    def counted(self, chi, xi):
-        calls.append((chi, xi))
-        return original(self, chi, xi)
-
+def test_periodic_numeric_reads_the_harmonic_components(monkeypatch):
+    # two PeriodicNumeric reports read one build of the components, with
+    # the numbers of a fresh model
     params = LambdaParams(r=2).with_detuning(2.0)
     fresh = [
         cumulants(LambdaPeriodicModel(params, steps=512), mode, method=Method.PERIODIC_NUMERIC)
         for mode in (1, 2)
     ]
-    monkeypatch.setattr(LambdaPeriodicModel, "time_harmonics", counted)
+    builds = count_component_builds(monkeypatch)
     model = LambdaPeriodicModel(params, steps=512)
     reports = [cumulants(model, mode, method=Method.PERIODIC_NUMERIC) for mode in (1, 2)]
-    assert len(calls) == 8
+    assert builds == [params]
     assert reports == fresh
 
 
