@@ -127,7 +127,7 @@ def _scan_row(method: Method, outcome) -> tuple:
 def _scan_rows(chunk: list[Scenario]) -> list[tuple]:
     """Worker: one row per point of a chunk; a point whose model cannot be
     built or whose cumulants fail is recorded, and the chunk continues."""
-    method, h = chunk[0].method, chunk[0].numerics.h
+    method = chunk[0].method
     built, models = [], []
     for scenario in chunk:
         try:
@@ -135,7 +135,7 @@ def _scan_rows(chunk: list[Scenario]) -> list[tuple]:
             built.append(None)
         except Exception as exc:  # recorded per point
             built.append(exc)
-    reports = iter(cumulants_many(models, (1, 2), method, h))
+    reports = iter(cumulants_many(models, (1, 2), method))
     return [_scan_row(method, next(reports) if exc is None else exc) for exc in built]
 
 
@@ -258,9 +258,7 @@ def _command(name: str, default_resource: str | None = None, kind: str | None = 
 def _cumulants(scenario: Scenario, out) -> int:
     """Flux and noise of one counted channel."""
     model = build_model(scenario)
-    rep = cumulants(
-        model, scenario.mode, method=scenario.method, h=scenario.numerics.h
-    )
+    rep = cumulants(model, scenario.mode, method=scenario.method)
     header = ["mode", "I", "sigma2", "snr", "method", "h", "stencil_error"]
     row = [rep.mode, rep.flux, rep.noise, rep.snr, rep.method.value, rep.h,
            rep.stencil_error]
@@ -378,7 +376,7 @@ def _conserve(scenario: Scenario, out) -> int:
     if refused:
         raise ScenarioError([f"{v}; conserve counts 'drive' and 'bath'" for v in refused])
     model = build_model(scenario)
-    rep = conservation_check(model, method=scenario.method, h=scenario.numerics.h)
+    rep = conservation_check(model, method=scenario.method)
     status = "PASS" if rep.passed else "FAIL"
     worst = max(abs(rep.flux_residual), abs(rep.noise_residual))
     line = (
@@ -437,10 +435,16 @@ def _fig3(scenario: Scenario, out) -> int:
 @_command("fig4", "fig4.yaml", kind="lambda", sweep=True)
 def _fig4(scenario: Scenario, out) -> int:
     """Signal-mode flux vs detuning: closed-form PT next to Sambe-space numerics."""
+    [sweep, *others] = scenario.sweeps
+    if others or sweep.variable != "omega_delta" or sweep.repeat_param not in (None, "r"):
+        raise ScenarioError(["sweep: fig4 takes exactly one omega_delta sweep, "
+                             "repeated over r if at all"])
     path = _single_output_path(out, scenario.output, "fig4.csv") or "fig4.csv"
+    # r is the repeat value, also in the row of a point that it made invalid
     failed = _run_sweep(
-        scenario, scenario.sweeps[0], path, _fig4_rows, _FIG4_HEADER,
-        lambda x, rv, params: [x, getattr(params, "r", math.nan)],
+        scenario, sweep, path, _fig4_rows, _FIG4_HEADER,
+        lambda x, rv, params: [x, getattr(params, "r", math.nan) if rv is None
+                               else int(round(rv))],
     )
     return EXIT_PARTIAL if failed else EXIT_OK
 
@@ -460,15 +464,12 @@ def _fig4_point(scenario: Scenario):
     try:
         params = _model_params(scenario)
         pt = cumulants(LambdaModel(params), 2, method=Method.ANALYTIC_ORACLE)
-        model = LambdaPeriodicModel(params)
-        num = cumulants(model, 2, method=Method.PSEUDO_INVERSE)
-        # the photon-cutoff change is the numeric column's truncation evidence
-        err = max(num.stencil_error, model.truncation_change)
+        num = cumulants(LambdaPeriodicModel(params), 2, method=Method.PSEUDO_INVERSE)
     except Exception as exc:
         return (math.nan,) * 6 + (f"{type(exc).__name__}: {exc}",) + (math.nan,) * 4
     return (
         pt.flux, pt.noise, pt.snr, num.flux, num.noise, num.snr, "",
-        pt.stencil_error, int(pt.flagged), err, int(err > STENCIL_FLAG_RTOL),
+        pt.stencil_error, int(pt.flagged), num.stencil_error, int(num.flagged),
     )
 
 

@@ -15,7 +15,7 @@ from functools import partial
 
 import yaml
 
-from .counting import DEFAULT_METHOD, STEP_METHODS, Method, no_step_message
+from .counting import DEFAULT_METHOD, Method
 from .models.jc import JcParams
 from .models.lambda_system import LambdaParams
 from .superop import MIN_STEPS
@@ -95,7 +95,6 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class Numerics:
-    h: float | None = None
     n_fft: int = 1024
     steps: int = 2048
     threads: int = 1
@@ -257,7 +256,6 @@ _SWEEP = {
     for kind, names in _VARIABLES.items()
 }
 _NUMERICS = {
-    "h": _nullable(_bounded(_number, lambda h: h > 0, "must be positive")),
     "n_fft": _bounded(_integer, lambda n: n >= MIN_N and not n & (n - 1),
                       f"must be a power of two >= {MIN_N}, got {{}}"),
     "steps": _bounded(_integer, lambda n: n >= MIN_STEPS, f"must be >= {MIN_STEPS}, got {{}}"),
@@ -422,8 +420,6 @@ def parse_scenario(text: str, method: str | None = None,
         out.append("task: ClosedSystem statistics are defined for the jc model")
     if model:
         out += route_violations(model[0], scenario.method, (scenario.mode,))
-    if scenario.numerics.h is not None and scenario.method not in STEP_METHODS:
-        out.append(f"numerics.h: {no_step_message(scenario.method)}; leave h null")
     if out:
         raise ScenarioError(out)
     return scenario

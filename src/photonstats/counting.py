@@ -4,7 +4,7 @@ A model exposes ``dressed_liouvillian(chi, xi)``; this module turns that into
 moment-generating functions, the slow eigenvalue lambda_0(xi, chi), and flux /
 noise reports by differentiation at zero counting fields.  Each route only
 computes rates; :func:`cumulants` is the one place that checks a request
-(order, step, the route's model hook) and builds a report.  The default
+(order, the route's model hook) and builds a report.  The default
 route, PseudoInverse, differentiates lambda_0 exactly through the
 pseudo-inverse of the generator, whose exact field components a static
 model class returns for a stack of models (``field_components(models)``;
@@ -45,9 +45,7 @@ from .superop import (
 __all__ = [
     "Method",
     "DEFAULT_METHOD",
-    "STEP_METHODS",
     "STENCIL_FLAG_RTOL",
-    "no_step_message",
     "CountingFields",
     "MgfValue",
     "CumulantReport",
@@ -85,14 +83,6 @@ class Method(enum.Enum):
 
 
 DEFAULT_METHOD = Method.PSEUDO_INVERSE
-# the routes that differentiate by a finite-difference stencil of step h
-STEP_METHODS = (Method.SPECTRAL_FD, Method.PERTURBATION)
-
-
-def no_step_message(method: Method) -> str:
-    """Why ``method`` refuses a stencil step ``h`` (engine and scenario checks)."""
-    names = " and ".join(m.value for m in STEP_METHODS)
-    return f"{method.value} takes no stencil step h; only {names} do"
 
 
 @dataclass(frozen=True)
@@ -131,7 +121,8 @@ class MgfValue:
 
 @dataclass(frozen=True)
 class CumulantReport:
-    """Flux and noise rate of one counted channel."""
+    """Flux and noise rate of one counted channel; ``h`` is the step the
+    route chose (0.0 for a route that takes none)."""
 
     mode: int | str
     flux: float
@@ -333,12 +324,12 @@ def _stencil_rates(f: Callable[[float], complex], h: float) -> Rates:
     return (*flux_and_noise(d1, d2), h, rel_error)
 
 
-def _spectral(model, selector: Selector, h: float | None) -> Rates:
+def _spectral(model, selector: Selector) -> Rates:
     """Flux and noise from stencil derivatives of the tracked slow eigenvalue.
 
-    When no step is given, the stencil is evaluated on a small ladder of
-    candidate steps and the rates with the smallest Richardson disagreement
-    are returned (the first such step).  The optimal step varies by orders
+    The stencil is evaluated on a small ladder of candidate steps, and the
+    rates with the smallest Richardson disagreement are returned (the first
+    such step).  The optimal step varies by orders
     of magnitude across parameter space (the branch radius of lambda_0
     shrinks with the spectral gap while roundoff amplification grows as
     1/h^2), and the Richardson estimate tracks the true error well once the
@@ -347,14 +338,12 @@ def _spectral(model, selector: Selector, h: float | None) -> Rates:
     def f(x: float) -> complex:
         return lambda0_nearest(model, _fields_for(model, selector, x))
 
-    if h is not None:
-        return _stencil_rates(f, h)
     # the fixed steps, then the gap-bounded default unless it is one of them
     ladder = dict.fromkeys([1e-3, 3e-4, 1e-4, 3e-5, 1e-5, default_step(model)])
     return min((_stencil_rates(f, step) for step in ladder), key=lambda rates: rates[3])
 
 
-def _charpoly(model, selector: Selector, h: None) -> Rates:
+def _charpoly(model, selector: Selector) -> Rates:
     """Flux and noise by implicit differentiation of the char-poly root.
 
     Differentiating sum_j a_j(chi) lambda^j = 0 at the stationary root
@@ -376,7 +365,7 @@ def _charpoly(model, selector: Selector, h: None) -> Rates:
     return (*flux_and_noise(dlam, d2lam), 2.0 * math.pi / derivs.n_samples, derivs.rel_error)
 
 
-def _oracle(model, selector: Selector, h: None) -> Rates:
+def _oracle(model, selector: Selector) -> Rates:
     """Closed-form (or closed-form-derived) cumulants where the model has them.
 
     The model supplies them through ``oracle_rates(selector)``.
@@ -385,12 +374,10 @@ def _oracle(model, selector: Selector, h: None) -> Rates:
     return flux, noise, 0.0, err
 
 
-def _perturbation(model, selector: Selector, h: float | None) -> Rates:
-    """Flux and noise from the second-order eigenvalue of a tagged split."""
+def _perturbation(model, selector: Selector) -> Rates:
+    """Flux and noise from the second-order eigenvalue of a tagged split,
+    by a stencil of the gap-bounded :func:`default_step`."""
     from .perturbation import PerturbationSplit, nhpt_eigenvalue
-
-    if h is None:
-        h = default_step(model)
 
     def f(x: float) -> complex:
         fields = _fields_for(model, selector, x)
@@ -401,7 +388,7 @@ def _perturbation(model, selector: Selector, h: float | None) -> Rates:
         mu = int(np.argmin(np.abs(spectral_decompose(l0).eigenvalues)))
         return nhpt_eigenvalue(split, mu, order=2)
 
-    return _stencil_rates(f, h)
+    return _stencil_rates(f, default_step(model))
 
 
 def _slow_exponent_rates(u, du, d2u, period: float) -> tuple[float, float]:
@@ -488,7 +475,7 @@ def _pseudo_inverse_rates(l0, trace, l1, l2) -> tuple[np.ndarray, np.ndarray, np
     return flux, noise, np.finfo(float).eps * cond
 
 
-def _pseudo_inverse(model, selector: Selector, h: None) -> Rates:
+def _pseudo_inverse(model, selector: Selector) -> Rates:
     """Flux and noise from the pseudo-inverse of the generator, with no step.
 
     The slow eigenvalue of L(x) has lambda' = l L' r and
@@ -535,12 +522,11 @@ def cumulants_many(
     models: Sequence,
     selectors: Sequence[Selector],
     method: Method = DEFAULT_METHOD,
-    h: float | None = None,
 ) -> list[list[CumulantReport] | Exception]:
     """For each model, the reports of every selector or the exception that
     refused it, as :func:`cumulants` gives them model by model.
 
-    PseudoInverse without a step is stacked over the models that serve no
+    PseudoInverse is stacked over the models that serve no
     ``pseudo_inverse_rates`` hook: their field components give every
     selector's L' and L'', and one stacked bordered inverse serves all
     models and selectors.  When the stacked solve raises, every model is
@@ -549,7 +535,7 @@ def cumulants_many(
     """
     results: list = [None] * len(models)
     dense = [i for i, m in enumerate(models) if not hasattr(m, "pseudo_inverse_rates")]
-    if method is Method.PSEUDO_INVERSE and h is None and dense:
+    if method is Method.PSEUDO_INVERSE and dense:
         try:
             flux, noise, err = _dense_pseudo_inverse([models[i] for i in dense], selectors)
         except Exception:  # redone model by model below
@@ -560,13 +546,13 @@ def cumulants_many(
     for i, model in enumerate(models):
         if results[i] is None:
             try:
-                results[i] = [cumulants(model, s, method=method, h=h) for s in selectors]
+                results[i] = [cumulants(model, s, method=method) for s in selectors]
             except Exception as exc:  # the caller records it per model
                 results[i] = exc
     return results
 
 
-def _periodic(model, selector: Selector, h: None) -> Rates:
+def _periodic(model, selector: Selector) -> Rates:
     """Flux and noise of a time-periodic model from its slow Floquet multiplier.
 
     The one-period propagator and its exact first two field derivatives come
@@ -609,29 +595,28 @@ def cumulants(
     selector: Selector,
     method: Method = DEFAULT_METHOD,
     order: int = 2,
-    h: float | None = None,
 ) -> CumulantReport:
     """Flux and noise of ``selector`` by ``method``.
 
-    The one place that checks a request (the cumulant order, a step for a
-    method outside ``STEP_METHODS``, the model hook the route needs, which
-    raises ``NotImplementedError``) and builds the report of a route's rates.
+    The one place that checks a request (the cumulant order, the model hook
+    the route needs, which raises ``NotImplementedError``) and builds the
+    report of a route's rates.  The report's ``h`` is the step the route
+    chose: SpectralFD's ladder step, PerturbationTheory's
+    :func:`default_step`, CharPoly's sample spacing, or 0.0 for the routes
+    that take no step.
     """
     _check_order(order)
-    if h is not None and method not in STEP_METHODS:
-        raise ValueError(no_step_message(method))
     route, hook = _ROUTES[method]
     if hook is not None and not hasattr(model, hook):
         raise NotImplementedError(
             f"{type(model).__name__} has no {hook} hook, which {method.value} needs"
         )
-    return _report(selector, method, *route(model, selector, h))
+    return _report(selector, method, *route(model, selector))
 
 
 def conservation_check(
     model,
     method: Method = DEFAULT_METHOD,
-    h: float | None = None,
 ) -> ConservationReport:
     """Compare the total-drive ledger against the bath ledger.
 
@@ -639,8 +624,8 @@ def conservation_check(
     photons can only be exchanged with each other (up to the bounded matter
     occupation), so I_drive = -I_bath and the noise rates coincide.
     """
-    drive = cumulants(model, "drive", method=method, h=h)
-    bath = cumulants(model, "bath", method=method, h=h)
+    drive = cumulants(model, "drive", method=method)
+    bath = cumulants(model, "bath", method=method)
     return ConservationReport(
         drive=drive,
         bath=bath,

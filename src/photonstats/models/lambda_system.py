@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -79,6 +79,10 @@ class LambdaParams:
     phi2: float = 0.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         if self.gamma < 0 or self.omega_s < 0:
             raise ValueError("gamma and omega_s must be nonnegative")
         if self.omega_d <= 0:
@@ -592,16 +596,17 @@ class LambdaPeriodicModel:
 
         The route reuses the factorization of the cutoff check at
         ``cutoff``; F' and F'' act as banded products of the harmonics'
-        field derivatives.  The error estimate is the larger of eps times
-        the 1-norm condition estimate of the shifted generator and the
+        field derivatives.  The error estimate is the largest of eps times
+        the 1-norm condition estimate of the shifted generator, the
         relative residual of the solves (the block LU does not pivot across
-        blocks).
+        blocks) and the photon-cutoff change ``truncation_change``, which
+        is reported also when ``check_tol`` is None.
         """
         self._check_cutoff()
         _, _, d1, d2 = self.harmonic_derivatives(selector)
         shifted = self._shifted_sambe(self.cutoff)
         [(flux, noise)], residual = shifted.rates([(d1, d2)])
-        return flux, noise, max(shifted.cond_error, residual)
+        return flux, noise, max(shifted.cond_error, residual, self.truncation_change)
 
     @property
     def truncation_change(self) -> float:

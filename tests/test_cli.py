@@ -226,6 +226,7 @@ LAMBDA_MODEL = "model:\n  kind: lambda\nmode: 2\n"
 DETUNING_SWEEP = (
     "sweep:\n  variable: omega_delta\n  start: -2.0\n  stop: 2.0\n  points: 2\n"
 )
+FIG4_SWEEP = "sweep: fig4 takes exactly one omega_delta sweep, repeated over r if at all"
 
 
 @pytest.mark.parametrize(
@@ -235,6 +236,11 @@ DETUNING_SWEEP = (
         ("fig5", LAMBDA_MODEL, "sweep"),
         ("fig4", LAMBDA_MODEL, "sweep"),
         ("fig4", JC_MODEL + "sweep:\n  variable: gamma\n", "model.kind"),
+        ("fig4", LAMBDA_MODEL + "sweep:\n  variable: gamma\n", FIG4_SWEEP),
+        ("fig4", LAMBDA_MODEL + "sweeps:\n  - variable: omega_delta\n"
+         "  - variable: omega_delta\n    name: again\n", FIG4_SWEEP),
+        ("fig4", LAMBDA_MODEL + DETUNING_SWEEP
+         + "  repeat_param: gamma\n  repeat_values: [0.1, 0.2]\n", FIG4_SWEEP),
         ("fig3", LAMBDA_MODEL, "model.kind"),
     ],
 )
@@ -457,15 +463,20 @@ def test_conserve_writes_its_csv(runner, tmp_path):
 
 
 def test_fig4_point_whose_model_cannot_be_built_gets_an_error_row(runner, tmp_path):
-    doc = LAMBDA_MODEL + "sweep:\n  variable: gamma\n  start: -0.1\n  stop: 0.2\n  points: 2\n"
+    doc = LAMBDA_MODEL + DETUNING_SWEEP + "  repeat_param: r\n  repeat_values: [-1, 1]\n"
     cfg = write(tmp_path, "s.yaml", doc)
     result = runner.invoke(main, ["fig4", "--config", cfg, "--out", str(tmp_path)])
     assert result.exit_code == 1, result.output
     with open(tmp_path / "fig4.csv", newline="") as fh:
-        bad, good = list(csv.DictReader(fh))
-    assert bad["error"] == "ValueError: gamma and omega_s must be nonnegative"
-    assert bad["I_2_numeric"] == bad["flagged_numeric"] == "nan"
-    assert good["error"] == "" and math.isfinite(float(good["I_2_numeric"]))
+        rows = list(csv.DictReader(fh))
+    assert [(row["omega_delta"], row["r"]) for row in rows] == [
+        (f"{w:.16e}", r) for r in ("-1", "1") for w in (-2.0, 2.0)
+    ]
+    for bad in rows[:2]:
+        assert bad["error"] == "ValueError: r must be a nonnegative integer"
+        assert bad["I_2_numeric"] == bad["flagged_numeric"] == "nan"
+    for good in rows[2:]:
+        assert good["error"] == "" and math.isfinite(float(good["I_2_numeric"]))
 
 
 def test_one_sweep_scan_writes_to_the_csv_path_given(runner, tmp_path):

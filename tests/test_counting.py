@@ -136,10 +136,21 @@ class TestCumulants:
         assert rep.flux == pytest.approx(flux, rel=1e-9)
         assert rep.noise == pytest.approx(noise, rel=1e-8)
 
-    def test_explicit_step_honored(self):
-        m = model(gamma=0.1)
-        rep = cumulants(m, 1, method=Method.SPECTRAL_FD, h=3e-4)
-        assert rep.h == 3e-4
+    @pytest.mark.parametrize("gamma", [0.1, 1e-4])
+    def test_spectral_reports_its_ladder_step(self, gamma):
+        m = model(gamma=gamma)
+        ladder = (1e-3, 3e-4, 1e-4, 3e-5, 1e-5, default_step(m))
+        assert cumulants(m, 1, method=Method.SPECTRAL_FD).h in ladder
+
+    def test_perturbation_reports_the_gap_bounded_step(self):
+        m = lambda_system.LambdaModel(lambda_system.LambdaParams(gamma=1e-3))
+        assert default_step(m) < 1e-3
+        assert cumulants(m, 2, method=Method.PERTURBATION).h == default_step(m)
+
+    def test_exact_routes_report_no_step(self):
+        for m in (model(gamma=0.1), lambda_system.LambdaModel(lambda_system.LambdaParams())):
+            for method in (Method.PSEUDO_INVERSE, Method.ANALYTIC_ORACLE):
+                assert cumulants(m, 1, method=method).h == 0.0
 
     def test_higher_cumulants_refused(self):
         m = model()

@@ -1,5 +1,6 @@
 """Pump-modulated three-level system: RWA generator, PT, periodic route."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -36,6 +37,12 @@ class TestParams:
             LambdaParams(omega_d=0.0)
         with pytest.raises(ValueError):
             LambdaParams(r=-1)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(LambdaParams)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_fields_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            LambdaParams(**{name: value})
 
     def test_detuning_helper(self):
         p = BASE.with_detuning(1.5)

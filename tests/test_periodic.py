@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from photonstats import cli, counting, superop
 from photonstats.charpoly import DegenerateRootError, fourier_derivatives
 from photonstats.cli import main
-from photonstats.config import ScenarioError, parse_scenario
+from photonstats.config import parse_scenario
 from photonstats.counting import (
     CountingFields,
     Method,
@@ -93,47 +93,21 @@ def test_step_doubling_error_is_reported_without_propagator_check():
     assert rep.stencil_error > 1e-6 and rep.flagged
 
 
-# numerics.h is a stencil step: only SpectralFD and PerturbationTheory take one
-STEP_FREE_ROUTES = (
-    (Method.CHARPOLY, LambdaModel),
-    (Method.ANALYTIC_ORACLE, LambdaModel),
-    (Method.PERIODIC_NUMERIC, LambdaPeriodicModel),
-    (Method.PSEUDO_INVERSE, LambdaModel),
-)
-
-
-def test_stencil_step_is_refused():
-    for method, model_cls in STEP_FREE_ROUTES:
-        with pytest.raises(ValueError, match="stencil step"):
-            cumulants(model_cls(LambdaParams()), 2, method=method, h=1e-3)
-
-
 def test_static_model_has_no_periodic_route():
     with pytest.raises(NotImplementedError):
         cumulants(LambdaModel(LambdaParams()), 2, method=Method.PERIODIC_NUMERIC)
 
 
-def test_scenario_rejects_stencil_step_for_periodic_numeric():
-    step = "numerics:\n  h: 0.001\n"
-    for method, _ in STEP_FREE_ROUTES:
-        doc = f"model:\n  kind: lambda\nmethod: {method.value}\n"
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(doc + step)
-        assert any(v.startswith("numerics.h") for v in exc.value.violations)
-        parse_scenario(doc)
-    for method in (Method.SPECTRAL_FD, Method.PERTURBATION):
-        parse_scenario(f"model:\n  kind: lambda\nmethod: {method.value}\n" + step)
-
-
-def test_cli_method_override_rejects_stencil_step(tmp_path):
+def test_stencil_step_is_no_setting(tmp_path):
+    # every route chooses its own step, the stencil routes too
     cfg = tmp_path / "s.yaml"
     cfg.write_text("model:\n  kind: lambda\nnumerics:\n  h: 0.001\n")
-    for method, _ in STEP_FREE_ROUTES:
+    for method in Method:
         result = CliRunner().invoke(
             main, ["cumulants", "--config", str(cfg), "--method", method.value]
         )
         assert result.exit_code == 2
-        assert "numerics.h" in result.output
+        assert "numerics.h: unknown key (allowed: n_fft, steps, threads)" in result.output
 
 
 def test_time_harmonics_reproduce_callback():
@@ -392,6 +366,27 @@ def test_sambe_truncation_check_catches_small_cutoff():
     assert exc.value.rel_change > 1e-6
     rep = cumulants(TooFewPhotons(p, check_tol=None), 2)
     assert rep.flux != pytest.approx(cumulants(LambdaPeriodicModel(p), 2).flux, rel=1e-6)
+
+
+def test_pseudo_inverse_reports_the_cutoff_change_unchecked():
+    # with the check off the route does not raise, but reports the change
+    p = LambdaParams(r=2).with_detuning(2.0)
+    model = TooFewPhotons(p, check_tol=None)
+    rep = cumulants(model, 2)
+    assert model.truncation_change > 1e-6
+    assert rep.stencil_error >= model.truncation_change and rep.flagged
+    model = LambdaPeriodicModel(p)
+    assert cumulants(model, 2).stencil_error >= model.truncation_change
+
+
+@pytest.mark.parametrize("cls", [LambdaPeriodicModel, TooFewPhotons])
+def test_fig4_numeric_error_is_the_routes_own(monkeypatch, cls):
+    monkeypatch.setattr(cli, "LambdaPeriodicModel", lambda params: cls(params, check_tol=None))
+    params = LambdaParams(r=2).with_detuning(2.0)
+    scenario = replace(parse_scenario("model:\n  kind: lambda\n"), model_params=params)
+    row = cli._fig4_point(scenario)
+    rep = cumulants(cls(params, check_tol=None), 2)
+    assert row[9:] == (rep.stencil_error, int(rep.flagged))
 
 
 def test_fig4_csv_carries_provenance_and_is_reproducible(tmp_path):

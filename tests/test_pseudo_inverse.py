@@ -180,8 +180,6 @@ def test_many_loops_over_other_methods_and_structured_models():
     ]
     [reports] = cumulants_many([periodic], (1, 2))
     assert reports == [cumulants(periodic, mode) for mode in (1, 2)]
-    [refused] = cumulants_many([jc], (1,), h=1e-3)
-    assert isinstance(refused, ValueError) and "stencil step" in str(refused)
 
 
 class CountingJc(JaynesCummingsModel):
