@@ -252,6 +252,9 @@ def test_bundled_detuning_scan_shape():
 JC = "model:\n  kind: jc\n"
 LAMBDA = "model:\n  kind: lambda\n"
 SWEEP = "sweep:\n  variable: gamma\n"
+SPECTRAL = "method: SpectralFD\n"
+# the stencil step is each route's own choice, so numerics.h is no key
+NO_STEP = ["numerics.h: unknown key (allowed: n_fft, steps, threads)"]
 TOP_KEYS = "closed, distribution, method, mode, model, numerics, output, sweep, sweeps, task"
 METHODS = "['AnalyticOracle', 'CharPoly', 'PeriodicNumeric', 'PerturbationTheory', 'PseudoInverse', 'SpectralFD']"
 TASKS = "['ClosedSystem', 'ConservationCheck', 'Cumulants', 'Distribution', 'Scan']"
@@ -288,6 +291,7 @@ INVALID = [
      ["numerics.n_fft: expected an integer, got 1024.0"]),
     ("threads-bool", JC + "numerics:\n  threads: true\n",
      ["numerics.threads: expected an integer, got True"]),
+    ("h-string", JC + SPECTRAL + "numerics:\n  h: '0.1'\n", NO_STEP),
     ("distribution-time-inf", JC + "distribution:\n  time: .inf\n",
      ["distribution.time: must be finite"]),
     ("closed-time-string", JC + "closed:\n  time: '10'\n",
@@ -330,6 +334,7 @@ INVALID = [
      ["model: gamma must be nonnegative"]),
     ("omega_d-zero", LAMBDA + "  omega_d: 0\n",
      ["model: omega_d must be positive"]),
+    ("h-zero", JC + SPECTRAL + "numerics:\n  h: 0\n", NO_STEP),
     ("n_fft-100", JC + "numerics:\n  n_fft: 100\n",
      ["numerics.n_fft: must be a power of two >= 128, got 100"]),
     ("n_fft-384", JC + "numerics:\n  n_fft: 384\n",
@@ -446,6 +451,7 @@ INVALID = [
      ["method: PerturbationTheory applies to the lambda model only"]),
     ("oracle-bath-lambda", LAMBDA + "method: AnalyticOracle\nmode: bath\n",
      ["mode: AnalyticOracle counts 1, 2, 'drive' on the lambda model, not 'bath'"]),
+    ("h-with-oracle", JC + "method: AnalyticOracle\nnumerics:\n  h: 0.01\n", NO_STEP),
     ("many-sections", JC + "  gamma: -1\n  bogus_param: 3\ntask: Dance\nmethod: Magic\nbogus: 1\n", [
         f"bogus: unknown key (allowed: {TOP_KEYS})",
         "model.bogus_param: unknown key (allowed: eps_delta, gamma, kind, omega1, omega2, phi1, phi2)",

@@ -142,6 +142,24 @@ class TestCumulants:
         ladder = (1e-3, 3e-4, 1e-4, 3e-5, 1e-5, default_step(m))
         assert cumulants(m, 1, method=Method.SPECTRAL_FD).h in ladder
 
+    def test_explicit_step_honored(self):
+        # a study at an explicit step: central_derivative of lambda0_nearest,
+        # which at SpectralFD's reported step gives its rates exactly
+        from photonstats.numdiff import central_derivative
+
+        m = model(gamma=0.1)
+
+        def f(x):
+            return lambda0_nearest(m, CountingFields((x, 0.0), (0.0,)))
+
+        rep = cumulants(m, 1, method=Method.SPECTRAL_FD)
+        for h in (3e-4, rep.h):
+            d1, d2, err = central_derivative(f, h)
+            flux, noise = counting.flux_and_noise(d1, d2)
+            assert flux == pytest.approx(rep.flux, rel=1e-6)
+            assert noise == pytest.approx(rep.noise, rel=1e-4)
+        assert (flux, noise, err) == (rep.flux, rep.noise, rep.stencil_error)
+
     def test_perturbation_reports_the_gap_bounded_step(self):
         m = lambda_system.LambdaModel(lambda_system.LambdaParams(gamma=1e-3))
         assert default_step(m) < 1e-3

@@ -2,6 +2,7 @@
 (PeriodicNumeric) and the photon-resolved Floquet (Sambe) generator."""
 
 import csv
+import inspect
 import math
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from click.testing import CliRunner
 from photonstats import cli, counting, superop
 from photonstats.charpoly import DegenerateRootError, fourier_derivatives
 from photonstats.cli import main
-from photonstats.config import parse_scenario
+from photonstats.config import ScenarioError, parse_scenario
 from photonstats.counting import (
     CountingFields,
     Method,
@@ -93,13 +94,35 @@ def test_step_doubling_error_is_reported_without_propagator_check():
     assert rep.stencil_error > 1e-6 and rep.flagged
 
 
+def test_stencil_step_is_refused():
+    # every route is a function of (model, selector) that chooses its own step
+    for route, _ in counting._ROUTES.values():
+        assert list(inspect.signature(route).parameters) == ["model", "selector"]
+    for fn in (cumulants, counting.cumulants_many, counting.conservation_check):
+        assert "h" not in inspect.signature(fn).parameters
+    for method in Method:
+        with pytest.raises(TypeError, match="'h'"):
+            cumulants(LambdaModel(LambdaParams()), 2, method=method, h=1e-3)
+
+
 def test_static_model_has_no_periodic_route():
     with pytest.raises(NotImplementedError):
         cumulants(LambdaModel(LambdaParams()), 2, method=Method.PERIODIC_NUMERIC)
 
 
-def test_stencil_step_is_no_setting(tmp_path):
-    # every route chooses its own step, the stencil routes too
+def test_scenario_rejects_stencil_step_for_periodic_numeric():
+    # numerics.h is an unknown key for every method, the stencil routes too
+    for method in Method:
+        doc = f"model:\n  kind: lambda\nmethod: {method.value}\n"
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(doc + "numerics:\n  h: 0.001\n")
+        assert exc.value.violations == [
+            "numerics.h: unknown key (allowed: n_fft, steps, threads)"
+        ]
+        parse_scenario(doc)
+
+
+def test_cli_method_override_rejects_stencil_step(tmp_path):
     cfg = tmp_path / "s.yaml"
     cfg.write_text("model:\n  kind: lambda\nnumerics:\n  h: 0.001\n")
     for method in Method:
