@@ -71,11 +71,7 @@ def char_poly(a: np.ndarray) -> CharPolyCoeffs:
         raise ValueError("matrix must be square")
     if d > _MAX_DIM:
         raise ValueError(f"dimension {d} exceeds supported maximum {_MAX_DIM}")
-    scale = float(np.linalg.norm(a, 2))
-    if scale == 0.0:
-        coeffs = np.zeros(d + 1, dtype=complex)
-        coeffs[-1] = 1.0
-        return CharPolyCoeffs(coeffs)
+    scale = float(np.linalg.norm(a, 2)) or 1.0  # the zero matrix needs no rescaling
     b = a / scale
     coeffs = np.zeros(d + 1, dtype=complex)
     coeffs[d] = 1.0

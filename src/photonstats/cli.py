@@ -82,7 +82,7 @@ def build_model(scenario: Scenario):
     if scenario.model_kind == "jc":
         return JaynesCummingsModel(params)
     if scenario.method is Method.PERIODIC_NUMERIC:
-        return LambdaPeriodicModel(params, steps=scenario.numerics.steps)
+        return LambdaPeriodicModel(params)
     return LambdaModel(params)
 
 
@@ -443,8 +443,7 @@ def _fig4(scenario: Scenario, out) -> int:
     # r is the repeat value, also in the row of a point that it made invalid
     failed = _run_sweep(
         scenario, sweep, path, _fig4_rows, _FIG4_HEADER,
-        lambda x, rv, params: [x, getattr(params, "r", math.nan) if rv is None
-                               else int(round(rv))],
+        lambda x, rv, params: [x, getattr(params, "r", math.nan) if rv is None else int(rv)],
     )
     return EXIT_PARTIAL if failed else EXIT_OK
 

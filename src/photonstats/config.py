@@ -16,9 +16,8 @@ from functools import partial
 import yaml
 
 from .counting import DEFAULT_METHOD, Method
-from .models.jc import JcParams
+from .models.jc import WEIGHT_SUM_TOL, JcParams
 from .models.lambda_system import LambdaParams
-from .superop import MIN_STEPS
 
 __all__ = [
     "Task",
@@ -96,7 +95,6 @@ class SweepSpec:
 @dataclass(frozen=True)
 class Numerics:
     n_fft: int = 1024
-    steps: int = 2048
     threads: int = 1
 
 
@@ -258,7 +256,6 @@ _SWEEP = {
 _NUMERICS = {
     "n_fft": _bounded(_integer, lambda n: n >= MIN_N and not n & (n - 1),
                       f"must be a power of two >= {MIN_N}, got {{}}"),
-    "steps": _bounded(_integer, lambda n: n >= MIN_STEPS, f"must be >= {MIN_STEPS}, got {{}}"),
     "threads": _bounded(_integer, lambda n: n >= 1, "must be >= 1, got {}"),
 }
 _nonnegative_numbers = _bounded(_numbers("a nonempty list of numbers"),
@@ -274,7 +271,7 @@ _DISTRIBUTION = {
 }
 _CLOSED = {
     "weights": _nullable(_bounded(_numbers("a list of two numbers summing to 1", length=2),
-                                  lambda w: abs(sum(w) - 1.0) <= 1e-9 and min(w) >= 0,
+                                  lambda w: abs(sum(w) - 1.0) <= WEIGHT_SUM_TOL and min(w) >= 0,
                                   "must be nonnegative and sum to 1")),
     "time": _bounded(_number, lambda t: t >= 0, "must be nonnegative"),
     "mode": _bounded(_integer, lambda m: m in (1, 2), "must be 1 or 2"),
@@ -315,7 +312,30 @@ def _sweep(out: list, path: str, doc, kind: str) -> SweepSpec | None:
         return None
     if not {"variable", "start", "stop", "points"} <= values.keys():
         return None
-    return SweepSpec(**{**values, "name": values.get("name") or values["variable"]})
+    spec = SweepSpec(**{**values, "name": values.get("name") or values["variable"]})
+    out.extend(f"{path}.{violation}" for violation in _mislabelled_rows(spec))
+    return spec
+
+
+def _mislabelled_rows(spec: SweepSpec) -> list[str]:
+    """Why some rows of the sweep would not be computed at the values that
+    label them: a non-integer r, which the model cannot take, or a repeat
+    parameter that the sweep variable, set after it, overwrites (a
+    detuning sets omega_1, and is eps_c - omega_1)."""
+    out = []
+    odd = ([float(x) for x in spec.grid() if not float(x).is_integer()]
+           if spec.variable == "r" else [])
+    if odd:
+        out.append(f"variable: r takes integers, but the grid holds {odd[0]!r}")
+    if spec.repeat_param == "r" and not all(v.is_integer() for v in spec.repeat_values):
+        out.append(f"repeat_values: r takes integers, got {list(spec.repeat_values)}")
+    sets = {spec.variable, "omega_1" if spec.variable == "omega_delta" else spec.variable}
+    reads = ({"omega_delta", "eps_c", "omega_1"} if spec.repeat_param == "omega_delta"
+             else {spec.repeat_param})
+    if sets & reads:
+        out.append(f"repeat_param: the sweep variable {spec.variable!r} overwrites "
+                   f"{spec.repeat_param!r}")
+    return out
 
 
 def _sweeps(out: list, path: str, value, kind: str) -> list[SweepSpec] | None:
@@ -438,6 +458,6 @@ def apply_sweep_value(
     """Return a copy of the parameters with one (possibly derived) field set."""
     if variable == "omega_delta":
         return params.with_detuning(value)
-    if variable == "r":
-        return replace(params, r=int(round(value)))
+    if variable == "r":  # integral: a non-integer r is refused when parsed
+        return replace(params, r=int(value))
     return replace(params, **{variable: value})

@@ -552,31 +552,39 @@ def cumulants_many(
     return results
 
 
+_DOUBLINGS = 5  # PeriodicNumeric's finest pass has 2**5 times its first pass's steps
+
+
 def _periodic(model, selector: Selector) -> Rates:
     """Flux and noise of a time-periodic model from its slow Floquet multiplier.
 
     The one-period propagator and its exact first two field derivatives come
     from one RK4 pass over the variational system; the model's
     ``harmonic_derivatives(selector)`` gives its harmonic orders, its time
-    harmonics and their exact field derivatives.  The pass is repeated with ``2 * model.steps``
-    steps: the finer estimate is returned, its relative change in
-    (flux, noise) is the reported ``stencil_error``, and a propagator change
-    beyond ``model.check_tol`` raises
-    :class:`~photonstats.superop.StepConvergenceError`.
+    harmonics and their exact field derivatives.  Passes run at
+    ``model.steps`` steps, twice as many, and so on, until the propagator
+    changes by at most ``model.check_tol`` (None: after two passes): the
+    finer estimate is returned, and its relative change in (flux, noise) is
+    the reported ``stencil_error``.  No convergence within ``_DOUBLINGS``
+    doublings raises :class:`~photonstats.superop.StepConvergenceError`.
     """
     orders, h0, d1, d2 = model.harmonic_derivatives(selector)
     derivs = np.stack((h0, d1, d2))
-    passes = []
-    for steps in (model.steps, 2 * model.steps):
+
+    def run(steps: int):
         u, du, d2u = variational_monodromy(orders, derivs, model.period, steps)
-        passes.append((u, _slow_exponent_rates(u, du, d2u, model.period)))
-    (u_coarse, coarse), (u_fine, (flux, noise)) = passes
-    if model.check_tol is not None:
-        rel = step_change(u_coarse, u_fine)
-        if rel > model.check_tol:
-            raise StepConvergenceError(u_coarse, u_fine, rel, model.check_tol)
-    err = max(_rel_change(coarse[0], flux), _rel_change(coarse[1], noise))
-    return flux, noise, 0.0, err
+        return u, _slow_exponent_rates(u, du, d2u, model.period)
+
+    (u_coarse, coarse), steps = run(model.steps), model.steps
+    while True:
+        steps *= 2
+        u, fine = run(steps)
+        rel = step_change(u_coarse, u)
+        if model.check_tol is None or rel <= model.check_tol:
+            return *fine, 0.0, max(_rel_change(c, f) for c, f in zip(coarse, fine))
+        if steps >= model.steps << _DOUBLINGS:
+            raise StepConvergenceError(u_coarse, u, rel, model.check_tol)
+        u_coarse, coarse = u, fine
 
 
 # each method's route and the model hook it needs (None: every model serves it)

@@ -24,7 +24,7 @@ from .counting import (
     gaussian_initial_mgf,
     initial_mgf,
 )
-from .models.jc import JcParams, jc_dressed_quasienergies
+from .models.jc import JcParams, jc_dressed_quasienergies, mixture_weights
 from .numdiff import central_derivative
 
 __all__ = [
@@ -167,12 +167,8 @@ def reconstruct_from_mgf(
     max_imag = float(np.abs(probs.imag).max())
     p = probs.real
     norm_before = float(p.sum())
-    if signed:
-        clipped = p
-        clipped_mass = 0.0
-    else:
-        clipped = np.where(p < EPS_FFT, 0.0, p)
-        clipped_mass = float(np.abs(p - clipped).sum())
+    clipped = p if signed else np.where(p < EPS_FFT, 0.0, p)
+    clipped_mass = float(np.abs(p - clipped).sum())
     total = clipped.sum()
     if total <= 0:
         raise ValueError("reconstruction produced no probability mass")
@@ -194,14 +190,8 @@ def reconstruct_from_mgf(
 
 def _window(raw: np.ndarray, centers: list[int], n: int):
     """Relabel FFT bins (defined mod N) to integers centered on the means."""
-    offsets = []
-    out = raw
-    for axis, center in enumerate(centers):
-        lo = center - n // 2
-        idx = (np.arange(lo, lo + n)) % n
-        out = np.take(out, idx, axis=axis)
-        offsets.append(np.arange(lo, lo + n))
-    return offsets, out
+    offsets = [np.arange(center - n // 2, center - n // 2 + n) for center in centers]
+    return offsets, raw[np.ix_(*(offset % n for offset in offsets))]
 
 
 # blocks of grid rows per distribution, one row-function call each: fixed, so
@@ -267,12 +257,7 @@ def reconstruct(
             fallbacks.append(count)
         return samples.reshape((n,) * len(modes))
 
-    dist = reconstruct_from_mgf(
-        mgf,
-        len(modes),
-        n,
-        sampler=sampler,
-    )
+    dist = reconstruct_from_mgf(mgf, len(modes), n, sampler=sampler)
     dist.metadata.update(
         time=t, model=type(model).__name__, modes=modes, expm_fallbacks=sum(fallbacks)
     )
@@ -291,9 +276,7 @@ def closed_mgf(
     with the full-strength (dressed) quasienergies, so the FFT moments
     reproduce the closed-system mean and branch-spread variance.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (2,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must be two nonnegative numbers summing to 1")
+    w = mixture_weights(weights)
     e0 = jc_dressed_quasienergies(p, (0.0, 0.0))
     e_plus = jc_dressed_quasienergies(p, chi)
     e_minus = jc_dressed_quasienergies(p, (-chi[0], -chi[1]))

@@ -267,6 +267,17 @@ def _quasienergy_derivatives(p: JcParams, mode: int) -> tuple[float, float]:
     return (-base, base)
 
 
+WEIGHT_SUM_TOL = 1e-12  # how far a closed mixture's two weights may sum from 1
+
+
+def mixture_weights(weights) -> np.ndarray:
+    """The two Floquet-state weights of a closed mixture, checked, as an array."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (2,) or np.any(w < 0) or abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError("weights must be two nonnegative numbers summing to 1")
+    return w
+
+
 def jc_closed_statistics(
     p: JcParams,
     weights: tuple[float, float],
@@ -283,9 +294,7 @@ def jc_closed_statistics(
     a single Floquet state and (E'_2 - E'_1)^2 t^2 / 4 for the balanced
     superposition.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (2,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must be two nonnegative numbers summing to 1")
+    w = mixture_weights(weights)
     d1, d2 = _quasienergy_derivatives(p, mode)
     derivs = np.array([d1, d2])
     mean = -float(w @ derivs) * t

@@ -520,11 +520,12 @@ class LambdaPeriodicModel:
     one block LU of the shifted generator per cutoff.
     That covers flux, noise and MGFs from |a><a|-type states, not the
     coherence columns of U(T) (5.6e-6 off at r = 1, omega_Delta = 0.5,
-    M = 10).  ``steps`` is the number of RK4 steps per drive period of the
-    PeriodicNumeric route, the time-domain cross-check, which is checked by
-    step doubling against the same ``check_tol`` (``None`` switches both
-    checks off; PeriodicNumeric cumulants still report their own change as
-    ``stencil_error``).
+    M = 10).  ``steps`` is the first pass's number of RK4 steps per drive
+    period of the PeriodicNumeric route, the time-domain cross-check, which
+    doubles it until the propagator changes by at most the same
+    ``check_tol`` (``None`` switches both checks off, and the route runs
+    ``steps`` and ``2 * steps``; PeriodicNumeric cumulants still report
+    their own change as ``stencil_error``).
     """
 
     n_modes = 2

@@ -116,14 +116,9 @@ TaggedTerms = Sequence[tuple[int, np.ndarray]]
 
 
 def _blocks(a: np.ndarray, part: SubspacePartition):
-    s = np.asarray(part.slow)
-    t = np.asarray(part.fast)
-    return (
-        a[np.ix_(s, s)],
-        a[np.ix_(s, t)],
-        a[np.ix_(t, s)],
-        a[np.ix_(t, t)],
-    )
+    """The (slow, slow), (slow, fast), (fast, slow) and (fast, fast) blocks of ``a``."""
+    s, t = np.asarray(part.slow), np.asarray(part.fast)
+    return tuple(a[np.ix_(rows, cols)] for rows in (s, t) for cols in (s, t))
 
 
 def _checked_inverse(block: np.ndarray) -> np.ndarray:
@@ -159,13 +154,10 @@ def adiabatic_eliminate(
     if order is None:
         total = sum(m for _, m in terms)
         return adiabatic_eliminate(total, partition)
-    ss: dict[int, np.ndarray] = {}
-    st: dict[int, np.ndarray] = {}
-    ts: dict[int, np.ndarray] = {}
-    tt: dict[int, np.ndarray] = {}
+    # each block of the partition, summed per perturbative order
+    ss, st, ts, tt = ({} for _ in range(4))
     for o, m in terms:
-        b_ss, b_st, b_ts, b_tt = _blocks(m, partition)
-        for store, block in ((ss, b_ss), (st, b_st), (ts, b_ts), (tt, b_tt)):
+        for store, block in zip((ss, st, ts, tt), _blocks(m, partition)):
             store[o] = store.get(o, 0) + block
     if 0 not in tt:
         raise SingularTransientBlockError(0.0)
@@ -179,11 +171,8 @@ def adiabatic_eliminate(
             if j in tt:
                 acc += tt[j] @ inv[m - j]
         inv[m] = -inv0 @ acc
-    n_s = len(partition.slow)
-    result = np.zeros((n_s, n_s), dtype=complex)
-    for o, block in ss.items():
-        if o <= order:
-            result += block
+    zero = np.zeros((len(partition.slow),) * 2, dtype=complex)
+    result = sum((block for o, block in ss.items() if o <= order), zero)
     for o1, left in st.items():
         for m, mid in inv.items():
             for o2, right in ts.items():

@@ -86,9 +86,7 @@ def hamiltonian_superop(h_left: np.ndarray, h_right: np.ndarray | None = None) -
     Stacks of Hamiltonians (..., d, d) give stacks of superoperators.
     """
     h_left = np.asarray(h_left, dtype=complex)
-    if h_right is None:
-        h_right = h_left
-    h_right = np.asarray(h_right, dtype=complex)
+    h_right = h_left if h_right is None else np.asarray(h_right, dtype=complex)
     eye = np.eye(h_left.shape[-1], dtype=complex)
     return -1.0j * _kron(h_left, eye) + 1.0j * _kron(eye, h_right.swapaxes(-1, -2))
 
@@ -218,13 +216,6 @@ def _integrate(nodes_at, period: float, steps: int, y: np.ndarray) -> np.ndarray
     return y
 
 
-def _check_steps(period: float, steps: int) -> None:
-    if steps < MIN_STEPS:
-        raise ValueError(f"steps must be at least {MIN_STEPS}")
-    if period <= 0:
-        raise ValueError("period must be positive")
-
-
 def step_change(coarse: np.ndarray, fine: np.ndarray) -> float:
     """Largest entry change from the coarse to the step-halved propagator, over max(|fine|, 1)."""
     denom = max(float(np.abs(fine).max()), 1.0)
@@ -242,7 +233,10 @@ def variational_monodromy(
     from one 3d x 3d RK4 of the block lower-triangular variational system
     dU/dt = L U, dV/dt = L V + L' U, dW/dt = L W + 2 L' V + L'' U.
     """
-    _check_steps(period, steps)
+    if steps < MIN_STEPS:
+        raise ValueError(f"steps must be at least {MIN_STEPS}")
+    if period <= 0:
+        raise ValueError("period must be positive")
     l, dl, d2l = np.asarray(harmonics, dtype=complex)
     n_harm, d = l.shape[0], l.shape[-1]
     # the variational generator is linear in L, so it has the same harmonics

@@ -486,3 +486,32 @@ def test_one_sweep_scan_writes_to_the_csv_path_given(runner, tmp_path):
     assert result.exit_code == 0, result.output
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["x.csv"]
     assert len(path.read_text().splitlines()) == 1 + 5 * 2
+
+
+@pytest.mark.parametrize("command, doc, violation", [
+    ("cumulants", LAMBDA_MODEL + "method: PeriodicNumeric\nnumerics:\n  steps: 64\n",
+     "numerics.steps: unknown key (allowed: n_fft, threads)"),
+    ("scan", LAMBDA_MODEL + DETUNING_SWEEP + "  repeat_param: r\n  repeat_values: [0.4, 1.6]\n",
+     "sweep.repeat_values: r takes integers, got [0.4, 1.6]"),
+    ("fig4", LAMBDA_MODEL + DETUNING_SWEEP + "  repeat_param: r\n  repeat_values: [0.4, 1.6]\n",
+     "sweep.repeat_values: r takes integers, got [0.4, 1.6]"),
+    ("scan", LAMBDA_MODEL + "sweep:\n  variable: r\n  start: 1\n  stop: 2\n  points: 3\n",
+     "sweep.variable: r takes integers, but the grid holds 1.5"),
+    ("scan", LAMBDA_MODEL + "sweep:\n  variable: gamma\n  start: 0.1\n  stop: 1.0\n"
+     "  points: 2\n  repeat_param: gamma\n  repeat_values: [0.5, 0.9]\n",
+     "sweep.repeat_param: the sweep variable 'gamma' overwrites 'gamma'"),
+    ("scan", LAMBDA_MODEL + DETUNING_SWEEP + "  repeat_param: omega_1\n"
+     "  repeat_values: [20.0, 25.0]\n",
+     "sweep.repeat_param: the sweep variable 'omega_delta' overwrites 'omega_1'"),
+    ("closed", CLOSED_DOC.replace("[0.5, 0.5]", "[0.5, 0.5000000001]"),
+     "closed.weights: must be nonnegative and sum to 1"),
+], ids=["numerics-steps", "r-repeat", "r-repeat-fig4", "r-grid", "repeat-is-variable",
+        "omega_1-repeat-under-detuning", "closed-weights"])
+def test_a_document_whose_rows_would_mislead_exits_2(runner, tmp_path, command, doc,
+                                                     violation):
+    # each would otherwise run to values it does not label, or to a traceback
+    cfg = write(tmp_path, "s.yaml", doc)
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"invalid scenario:\n  - {violation}\n"
+    assert not list(tmp_path.glob("*.csv"))

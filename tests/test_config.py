@@ -159,7 +159,6 @@ distribution:
   sigma2: [25.0, 25.0]
 numerics:
   n_fft: 256
-  steps: 64
 """)
     assert s.distribution.modes == (1, 2) and s.numerics.n_fft == 256
 
@@ -254,7 +253,7 @@ LAMBDA = "model:\n  kind: lambda\n"
 SWEEP = "sweep:\n  variable: gamma\n"
 SPECTRAL = "method: SpectralFD\n"
 # the stencil step is each route's own choice, so numerics.h is no key
-NO_STEP = ["numerics.h: unknown key (allowed: n_fft, steps, threads)"]
+NO_STEP = ["numerics.h: unknown key (allowed: n_fft, threads)"]
 TOP_KEYS = "closed, distribution, method, mode, model, numerics, output, sweep, sweeps, task"
 METHODS = "['AnalyticOracle', 'CharPoly', 'PeriodicNumeric', 'PerturbationTheory', 'PseudoInverse', 'SpectralFD']"
 TASKS = "['ClosedSystem', 'ConservationCheck', 'Cumulants', 'Distribution', 'Scan']"
@@ -268,7 +267,7 @@ INVALID = [
     ("unknown-model", JC + "  bogus: 1\n",
      ["model.bogus: unknown key (allowed: eps_delta, gamma, kind, omega1, omega2, phi1, phi2)"]),
     ("unknown-numerics", JC + "numerics:\n  bogus: 1\n",
-     ["numerics.bogus: unknown key (allowed: n_fft, steps, threads)"]),
+     ["numerics.bogus: unknown key (allowed: n_fft, threads)"]),
     ("unknown-distribution", JC + "distribution:\n  bogus: 1\n",
      ["distribution.bogus: unknown key (allowed: alphas, law, modes, nbar, sigma2, time)"]),
     ("unknown-closed", JC + "closed:\n  bogus: 1\n",
@@ -339,8 +338,9 @@ INVALID = [
      ["numerics.n_fft: must be a power of two >= 128, got 100"]),
     ("n_fft-384", JC + "numerics:\n  n_fft: 384\n",
      ["numerics.n_fft: must be a power of two >= 128, got 384"]),
+    # PeriodicNumeric doubles its own RK4 steps, so numerics.steps is no key
     ("steps-32", JC + "numerics:\n  steps: 32\n",
-     ["numerics.steps: must be >= 64, got 32"]),
+     ["numerics.steps: unknown key (allowed: n_fft, threads)"]),
     ("threads-0", JC + "numerics:\n  threads: 0\n",
      ["numerics.threads: must be >= 1, got 0"]),
     ("distribution-time-negative", JC + "distribution:\n  time: -1\n",
@@ -362,6 +362,9 @@ INVALID = [
     ("closed-weights-sum", JC + "closed:\n  weights: [0.7, 0.7]\n",
      ["closed.weights: must be nonnegative and sum to 1"]),
     ("closed-weights-negative", JC + "closed:\n  weights: [-0.5, 1.5]\n",
+     ["closed.weights: must be nonnegative and sum to 1"]),
+    # the tolerance of the closed-system statistics, which would refuse them
+    ("closed-weights-sum-off-by-1e-10", JC + "closed:\n  weights: [0.5, 0.5000000001]\n",
      ["closed.weights: must be nonnegative and sum to 1"]),
     ("sweep-points-1", JC + SWEEP + "  points: 1\n",
      ["sweep.points: must be >= 2"]),
@@ -459,6 +462,27 @@ INVALID = [
         f"method: expected one of {METHODS}, got 'Magic'",
         f"task: expected one of {TASKS}, got 'Dance'",
     ]),
+    # rows labelled with values they were not computed at
+    ("r-repeat-values-non-integer",
+     LAMBDA + "sweep:\n  variable: gamma\n  repeat_param: r\n  repeat_values: [0.4, 1.6]\n",
+     ["sweep.repeat_values: r takes integers, got [0.4, 1.6]"]),
+    ("r-grid-non-integer", LAMBDA + "sweeps:\n  - {variable: r, start: 1, stop: 2, points: 3}\n",
+     ["sweeps[0].variable: r takes integers, but the grid holds 1.5"]),
+    ("repeat-param-is-the-variable",
+     LAMBDA + SWEEP + "  repeat_param: gamma\n  repeat_values: [0.5, 0.9]\n",
+     ["sweep.repeat_param: the sweep variable 'gamma' overwrites 'gamma'"]),
+    ("repeat-omega_1-under-a-detuning-sweep",
+     LAMBDA + "sweep:\n  variable: omega_delta\n  repeat_param: omega_1\n"
+     "  repeat_values: [20.0, 25.0]\n",
+     ["sweep.repeat_param: the sweep variable 'omega_delta' overwrites 'omega_1'"]),
+    ("repeat-detuning-under-an-omega_1-sweep",
+     LAMBDA + "sweep:\n  variable: omega_1\n  repeat_param: omega_delta\n"
+     "  repeat_values: [1.0, 2.0]\n",
+     ["sweep.repeat_param: the sweep variable 'omega_1' overwrites 'omega_delta'"]),
+    ("repeat-detuning-under-an-eps_c-sweep",
+     LAMBDA + "sweep:\n  variable: eps_c\n  repeat_param: omega_delta\n"
+     "  repeat_values: [1.0, 2.0]\n",
+     ["sweep.repeat_param: the sweep variable 'eps_c' overwrites 'omega_delta'"]),
     ("document-not-mapping", "[1, 2]\n",
      ["document: expected a top-level mapping"]),
 ]
@@ -484,3 +508,16 @@ def test_unset_repeat_values_parse(sweep):
     s = parse_scenario(JC + SWEEP + sweep)
     assert s.sweeps[0].repeat_param is None
     assert s.sweeps[0].repeat_values == ()
+
+
+@pytest.mark.parametrize("sweep", [
+    # a detuning sweep sets omega_1 and keeps an eps_c repeat
+    "  variable: omega_delta\n  repeat_param: eps_c\n  repeat_values: [20.0, 25.0]\n",
+    "  variable: gamma\n  repeat_param: r\n  repeat_values: [0, 2]\n",
+    "  variable: r\n  start: 0\n  stop: 3\n  points: 4\n",
+])
+def test_sweeps_whose_rows_hold_their_labels_parse(sweep):
+    s = parse_scenario(LAMBDA + "sweep:\n" + sweep)
+    spec = s.sweeps[0]
+    grid = [apply_sweep_value(s.model_params, spec.variable, x) for x in spec.grid()]
+    assert all(isinstance(params.r, int) for params in grid)

@@ -78,14 +78,69 @@ def test_noise_approaches_rwa_at_deep_drive_separation(omega_delta):
     assert num.flux == pytest.approx(rwa.flux, rel=1e-2)
 
 
-def test_coarse_grid_is_caught():
+def test_coarse_grid_is_caught(monkeypatch):
+    # 64 steps are far too few here: the route doubles them until the
+    # propagator converges, and then agrees with the Sambe-space route
     p = LambdaParams(omega_p1=400.0).with_detuning(2.0)
-    try:
-        rep = periodic(p, steps=64)
-    except StepConvergenceError as exc:
-        assert exc.rel_change > 1e-6
-    else:
-        assert rep.flagged
+    passes = spy_passes(monkeypatch)
+    rep = periodic(p, steps=64)
+    assert passes == [64, 128, 256, 512, 1024, 2048]
+    sambe = cumulants(LambdaPeriodicModel(p), 2, method=Method.PSEUDO_INVERSE)
+    assert rep.flux == pytest.approx(sambe.flux, rel=1e-6)
+    assert rep.noise == pytest.approx(sambe.noise, rel=1e-6)
+    assert not rep.flagged
+
+
+def spy_passes(monkeypatch) -> list[int]:
+    """The step counts of the RK4 passes that PeriodicNumeric runs from now on."""
+    passes = []
+
+    def spy(orders, harmonics, period, steps):
+        passes.append(steps)
+        return variational_monodromy(orders, harmonics, period, steps)
+
+    monkeypatch.setattr(counting, "variational_monodromy", spy)
+    return passes
+
+
+# a deep modulation (omega_p1 / omega_d = 50) that 2048 and 4096 steps do not resolve
+DEEP = LambdaParams(omega_p1=2000.0, omega_d=40.0).with_detuning(2.0)
+
+
+def test_deep_modulation_converges_from_the_default_first_pass():
+    rep = cumulants(LambdaPeriodicModel(DEEP), 2, method=Method.PERIODIC_NUMERIC)
+    sambe = cumulants(LambdaPeriodicModel(DEEP), 2, method=Method.PSEUDO_INVERSE)
+    assert rep.flux == pytest.approx(sambe.flux, rel=1e-6)
+    assert rep.noise == pytest.approx(sambe.noise, rel=1e-6)
+
+
+def test_refinement_stops_at_its_ceiling(monkeypatch):
+    passes = spy_passes(monkeypatch)
+    with pytest.raises(StepConvergenceError) as exc:
+        periodic(DEEP, steps=64)
+    assert exc.value.rel_change > 1e-6
+    # doubled five times: the last pair ends at the ceiling of 32 x steps
+    assert passes == [64, 128, 256, 512, 1024, 2048] == [64 << k for k in range(6)]
+    assert counting._DOUBLINGS == 5
+
+
+def test_a_converged_first_pair_is_two_direct_passes(monkeypatch):
+    # the fig4 working point converges at once: its rates are exactly those
+    # of the passes at steps and 2 x steps
+    p = LambdaParams(r=2).with_detuning(2.0)
+    model = LambdaPeriodicModel(p, steps=512)
+    passes = spy_passes(monkeypatch)
+    rep = cumulants(model, 2, method=Method.PERIODIC_NUMERIC)
+    assert passes == [512, 1024]
+    orders, h0, d1, d2 = model.harmonic_derivatives(2)
+    rates = []
+    for steps in passes:
+        u, du, d2u = variational_monodromy(orders, np.stack((h0, d1, d2)), model.period, steps)
+        rates.append(counting._slow_exponent_rates(u, du, d2u, model.period))
+    (coarse_flux, coarse_noise), (flux, noise) = rates
+    assert (rep.flux, rep.noise) == (flux, noise)
+    assert rep.stencil_error == max(abs(flux - coarse_flux) / abs(flux),
+                                    abs(noise - coarse_noise) / abs(noise))
 
 
 def test_step_doubling_error_is_reported_without_propagator_check():
@@ -117,7 +172,7 @@ def test_scenario_rejects_stencil_step_for_periodic_numeric():
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(doc + "numerics:\n  h: 0.001\n")
         assert exc.value.violations == [
-            "numerics.h: unknown key (allowed: n_fft, steps, threads)"
+            "numerics.h: unknown key (allowed: n_fft, threads)"
         ]
         parse_scenario(doc)
 
@@ -130,7 +185,7 @@ def test_cli_method_override_rejects_stencil_step(tmp_path):
             main, ["cumulants", "--config", str(cfg), "--method", method.value]
         )
         assert result.exit_code == 2
-        assert "numerics.h: unknown key (allowed: n_fft, steps, threads)" in result.output
+        assert "numerics.h: unknown key (allowed: n_fft, threads)" in result.output
 
 
 def test_time_harmonics_reproduce_callback():
